@@ -7,7 +7,7 @@ conic partition, which keeps every direction of the space populated
 and so handles multi-modal failure domains).
 """
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 from .estimators import (
     BinOutcome,
     LevelRecord,
@@ -31,6 +31,7 @@ from .harness import (
 from .kernels import (
     AcceptRegion,
     McmcConfig,
+    binned_quantiles,
     interp_quantile,
     mcmc_step,
     propagate_chains,
@@ -64,6 +65,7 @@ __all__ = [
     "BinOutcome",
     "ConfigurationError",
     "EvalCounter",
+    "EvaluationError",
     "ExperimentConfig",
     "LevelRecord",
     "LimitState",
@@ -73,6 +75,7 @@ __all__ = [
     "REFERENCE_PF",
     "ReplicationSummary",
     "RunResult",
+    "binned_quantiles",
     "evaluate",
     "evaluate_batch",
     "get_problem",

@@ -1,7 +1,8 @@
 """Command-line front end: single runs, replicated experiments, and
 brute-force reference estimates, with CSV/JSON result files.
 
-Exit codes: 0 on success, 1 on runtime failure, 2 on configuration or
+Exit codes: 0 on success, 1 on runtime failure (including a limit-state
+function that raises or returns bad values), 2 on configuration or
 usage errors.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 from .estimators import RunResult, run_mcs
 from .gaussian import RandomStream
 from .harness import (
@@ -170,6 +171,7 @@ def write_summary_json(
             "mean_evals": summary.mean_evals,
             "runs_used": summary.runs_used,
             "failed_runs": summary.failed_runs,
+            "zero_runs": summary.zero_runs,
             "bin_mean_pi": list(summary.bin_mean_pi),
             "pf_ref": summary.pf_ref,
         },
@@ -201,8 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_levels_csv(out / "levels.csv", result)
         print(f"wrote {out / 'levels.csv'}")
     if result.status == "failed":
-        print("run failed: sampler went extinct before reaching the limit state",
-              file=sys.stderr)
+        print(f"run failed: {result.reason}", file=sys.stderr)
         return 1
     return 0
 
@@ -213,6 +214,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     results = replicate(cfg, jobs=args.jobs)
+    failed = [i for i, r in enumerate(results) if r.status == "failed"]
+    if failed:
+        print(f"{len(failed)} of {cfg.runs} runs failed; run {failed[0]}: "
+              f"{results[failed[0]].reason}", file=sys.stderr)
     pf_ref = args.pf_ref
     if pf_ref is None and cfg.problem in REFERENCE_PF:
         pf_ref = reference_probability(cfg.problem)
@@ -220,9 +225,16 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "no stored reference for this problem; pass --pf-ref to compute R"
         )
-    summary = summarize(results, pf_ref)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if not any(r.status != "failed" and r.pf_hat > 0.0 for r in results):
+        # nothing to summarize: a runtime outcome, not a bad configuration
+        write_runs_csv(out / "runs.csv", results)
+        zero = cfg.runs - len(failed)
+        print(f"no usable runs: {len(failed)} failed, {zero} returned a zero estimate; "
+              f"wrote {out / 'runs.csv'}", file=sys.stderr)
+        return 1
+    summary = summarize(results, pf_ref)
     write_runs_csv(out / "runs.csv", results)
     write_summary_json(out / "summary.json", cfg, summary)
     write_hist_csv(out / "hist.csv", results)
@@ -230,7 +242,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(
         f"mean_pf={summary.mean_pf:.4e} cov={summary.cov:.3f} "
         f"R={summary.r_metric:.3f} mean_evals={summary.mean_evals:.1f} "
-        f"used={summary.runs_used} failed={summary.failed_runs}"
+        f"used={summary.runs_used} failed={summary.failed_runs} zero={summary.zero_runs}"
     )
     print(f"wrote {out / 'runs.csv'}, {out / 'summary.json'}, {out / 'hist.csv'}")
     return 0
@@ -290,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EvaluationError as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - surface runtime failures as exit 1
         print(f"failure: {exc}", file=sys.stderr)
         return 1

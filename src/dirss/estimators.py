@@ -26,6 +26,7 @@ from .gaussian import RandomStream
 from .kernels import (
     AcceptRegion,
     McmcConfig,
+    binned_quantiles,
     interp_quantile,
     propagate_chains,
     residual_resample,
@@ -35,6 +36,8 @@ from .partition import Partition, make_single_bin
 
 # consecutive empty levels after which an active bin is written off
 _STARVE_LIMIT = 3
+
+_EXTINCT = "sampler went extinct before reaching the limit state"
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,10 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's estimate and diagnostics."""
+    """One run's estimate and diagnostics.
+
+    ``reason`` says why a run has status "failed" and is empty otherwise.
+    """
 
     algorithm: str
     pf_hat: float
@@ -84,6 +90,7 @@ class RunResult:
     status: str  # converged | max_levels | failed
     level_records: tuple[LevelRecord, ...]
     failure_points: np.ndarray
+    reason: str = ""
 
 
 def level_snapshot(result: RunResult) -> tuple[LevelRecord, ...]:
@@ -157,7 +164,8 @@ def run_ss(
     chains constrained to the new sub-level set). Once the quantile
     reaches zero the estimate is rho**(T-1) times the failing fraction
     of the final population. If ``max_levels`` rounds pass first, the
-    final threshold is forced to zero and the run is flagged.
+    final threshold is forced to zero and the run is flagged. Without a
+    ``stream`` the run draws from ``RandomStream(0)``.
     """
     if n < 2:
         raise ConfigurationError("subset simulation needs at least 2 samples per level")
@@ -166,6 +174,7 @@ def run_ss(
     if max_levels < 1:
         raise ConfigurationError("max_levels must be at least 1")
     mcmc = mcmc or McmcConfig()
+    stream = RandomStream(0) if stream is None else stream
     single = make_single_bin(ls.dimension)
 
     ctr = EvalCounter()
@@ -197,7 +206,7 @@ def run_ss(
             outcome = BinOutcome(0, "unresolved", None, None, 0.0, rho ** (t - 1))
             return RunResult(
                 "ss", 0.0, (outcome,), t, ctr.count, rho ** (t - 1), "failed",
-                tuple(records), np.empty((0, ls.dimension)),
+                tuple(records), np.empty((0, ls.dimension)), _EXTINCT,
             )
         counts = residual_resample(m, n, stream)
         region = AcceptRegion.global_threshold(gamma_t)
@@ -232,7 +241,11 @@ def run_dss(
     estimate, when no bins remain open, or at ``max_levels``. Otherwise
     the particles inside the updated bin-wise sub-level sets seed the
     next population of size n via residual resampling and constrained
-    Markov chains; chains may move between open bins.
+    Markov chains; chains may move between open bins. Without a
+    ``stream`` the run draws from ``RandomStream(0)``.
+
+    A level costs O(n log n) whatever the number of bins: all bins'
+    quantiles come from one sort of the population.
     """
     if n < 2:
         raise ConfigurationError("directional subset simulation needs at least 2 samples")
@@ -248,6 +261,7 @@ def run_dss(
             f"problem dimension {ls.dimension}"
         )
     mcmc = mcmc or McmcConfig()
+    stream = RandomStream(0) if stream is None else stream
 
     ctr = EvalCounter()
     n_bins = partition.n_bins
@@ -261,51 +275,48 @@ def run_dss(
     empty_streak = np.zeros(n_bins, dtype=np.int64)
     outcomes: dict[int, BinOutcome] = {}
     starved_mass = 0.0
+    d = 0.0  # frozen estimate, summed in the order bins finish
     fail_pts: list[np.ndarray] = []
     records: list[LevelRecord] = []
     status = "failed"
 
     for t in range(max_levels + 1):
         counts_per_bin = np.bincount(bins, minlength=n_bins)
-        for j in np.flatnonzero(active):
-            if counts_per_bin[j] == 0:
-                # keep the bin open so global moves can repopulate it,
-                # but write it off after a few empty levels
-                empty_streak[j] += 1
-                if empty_streak[j] >= _STARVE_LIMIT:
-                    active[j] = False
-                    bound = float(p0[j]) * rho ** (t + 1)
-                    starved_mass += bound
-                    outcomes[j] = BinOutcome(int(j), "starved", None, None, 0.0, bound)
-                continue
-            empty_streak[j] = 0
-            sel = bins == j
-            quant = interp_quantile(gv[sel], rho)
-            new_gamma = min(quant, gamma[j])
-            if new_gamma <= 0.0:
-                fail = sel & (gv <= 0.0)
-                p_final = float(fail.sum() / counts_per_bin[j])
+        filled = active & (counts_per_bin > 0)
+        # an empty bin stays open so global moves can repopulate it, but
+        # is written off after a few empty levels
+        empty_streak = np.where(active ^ filled, empty_streak + 1, 0)
+        starve = empty_streak >= _STARVE_LIMIT
+        if starve.any():
+            for j in np.flatnonzero(starve).tolist():
+                bound = float(p0[j]) * rho ** (t + 1)
+                starved_mass += bound
+                outcomes[j] = BinOutcome(j, "starved", None, None, 0.0, bound)
+            active &= ~starve
+        # the quantile of an empty bin is NaN, which fmin skips: its
+        # threshold stays as it was
+        gamma = np.fmin(binned_quantiles(gv, bins, n_bins, rho), gamma)
+        finish = filled & (gamma <= 0.0)
+        if finish.any():
+            fail = gv <= 0.0
+            n_fail = np.bincount(bins[fail], minlength=n_bins)
+            for j in np.flatnonzero(finish).tolist():
+                p_final = float(n_fail[j] / counts_per_bin[j])
                 pi_hat = float(p0[j]) * rho**t * p_final
-                outcomes[j] = BinOutcome(int(j), "finished", t, p_final, pi_hat, 0.0)
-                if fail.any():
-                    fail_pts.append(pts[fail])
-                gamma[j] = 0.0
-                active[j] = False
-            else:
-                gamma[j] = new_gamma
+                outcomes[j] = BinOutcome(j, "finished", t, p_final, pi_hat, 0.0)
+                d += pi_hat
+            # failing points of the finished bins, bin by bin
+            idx = np.flatnonzero(finish[bins] & fail)
+            fail_pts.append(pts[idx[np.argsort(bins[idx], kind="stable")]])
+            gamma[finish] = 0.0
+            active &= ~finish
 
-        d = sum(o.pi_hat for o in outcomes.values() if o.status == "finished")
         u = float(p0[active].sum()) * rho ** (t + 1) + starved_mass
         seed_mask = active[bins] & (gv <= gamma[bins])
         m = int(seed_mask.sum())
         records.append(
             LevelRecord(
-                t,
-                tuple(float(g) for g in gamma),
-                tuple(int(c) for c in counts_per_bin),
-                m,
-                float(d),
-                u,
+                t, tuple(gamma.tolist()), tuple(counts_per_bin.tolist()), m, d, u
             )
         )
 
@@ -342,4 +353,5 @@ def run_dss(
         status=status,
         level_records=tuple(records),
         failure_points=_stack_points(fail_pts, ls.dimension),
+        reason=_EXTINCT if status == "failed" else "",
     )

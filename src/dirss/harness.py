@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .estimators import RunResult, run_dss, run_mcs, run_ss
+from .errors import ConfigurationError, EvaluationError
+from .estimators import BinOutcome, RunResult, run_dss, run_mcs, run_ss
 from .gaussian import RandomStream
 from .kernels import McmcConfig
 from .limitstate import LimitState, get_problem
@@ -57,7 +57,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Statistics over the successful runs of one experiment."""
+    """Statistics over the successful runs of one experiment.
+
+    ``failed_runs`` counts runs with status "failed" and ``zero_runs``
+    the other runs whose estimate is 0; neither enters the estimate
+    statistics.
+    """
 
     mean_pf: float
     cov: float
@@ -65,6 +70,7 @@ class ReplicationSummary:
     mean_evals: float
     runs_used: int
     failed_runs: int
+    zero_runs: int
     bin_mean_pi: tuple[float, ...]
     pf_ref: float
 
@@ -108,31 +114,50 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
-    """Execute one run of the configured experiment with the given stream id."""
+    """Execute one run of the configured experiment with the given stream id.
+
+    A g that raises or returns bad values (see :class:`EvaluationError`)
+    ends the run with status "failed": the result carries the error
+    message as ``reason`` and the evaluations spent up to the failure;
+    it has no levels, and every bin is unresolved with its whole
+    probability as the bound.
+    """
     ls = build_problem(cfg)
     stream = RandomStream(cfg.seed, stream_id=stream_id)
-    if cfg.algorithm == "mcs":
-        return run_mcs(ls, cfg.n, stream)
     mcmc = McmcConfig(cfg.mcmc_corr)
-    if cfg.algorithm == "ss":
-        return run_ss(
-            ls, cfg.n, rho=cfg.rho, mcmc=mcmc, max_levels=cfg.max_levels, stream=stream
+    part = build_partition(cfg, ls.dimension) if cfg.algorithm == "dss" else None
+    try:
+        if cfg.algorithm == "mcs":
+            return run_mcs(ls, cfg.n, stream)
+        if cfg.algorithm == "ss":
+            return run_ss(
+                ls, cfg.n, rho=cfg.rho, mcmc=mcmc, max_levels=cfg.max_levels, stream=stream
+            )
+        return run_dss(
+            ls, part, cfg.n,
+            rho=cfg.rho, mcmc=mcmc, eps_tol=cfg.eps_tol,
+            max_levels=cfg.max_levels, stream=stream,
         )
-    part = build_partition(cfg, ls.dimension)
-    return run_dss(
-        ls, part, cfg.n,
-        rho=cfg.rho, mcmc=mcmc, eps_tol=cfg.eps_tol,
-        max_levels=cfg.max_levels, stream=stream,
-    )
+    except EvaluationError as exc:
+        probs = [1.0] if part is None else part.probs
+        outcomes = tuple(
+            BinOutcome(j, "unresolved", None, None, 0.0, float(p)) for j, p in enumerate(probs)
+        )
+        return RunResult(
+            cfg.algorithm, 0.0, outcomes, 0, exc.n_evals, 1.0, "failed", (),
+            np.empty((0, ls.dimension)), reason=str(exc),
+        )
 
 
 def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run the experiment ``cfg.runs`` times, run i on stream_id i.
 
-    Per-run failures come back as results with status "failed"; the
-    batch itself never aborts. With ``jobs`` > 1 runs are distributed
-    over a process pool; results are identical to the sequential order
-    because streams are pre-assigned.
+    Per-run failures come back as results with status "failed" and a
+    ``reason``: a sampler that went extinct, or a g that raised or
+    returned bad values (see :class:`EvaluationError`). The batch itself
+    never aborts on them. With ``jobs`` > 1 runs are distributed over a
+    process pool; results are identical to the sequential order because
+    streams are pre-assigned.
     """
     validate_config(cfg)
     if jobs <= 1:
@@ -146,12 +171,14 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
 
     Runs that failed or returned a zero estimate are excluded from the
     mean, CoV and R (their logarithm is undefined) and counted in
-    ``failed_runs``; the evaluation cost is averaged over all runs.
+    ``failed_runs`` and ``zero_runs``; the evaluation cost is averaged
+    over all runs.
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
     if pf_ref <= 0.0:
         raise ConfigurationError("reference probability must be positive")
+    failed = sum(r.status == "failed" for r in results)
     used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]
     if not used:
         raise ConfigurationError("all runs failed or returned zero estimates")
@@ -167,7 +194,8 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
         r_metric=r_metric,
         mean_evals=mean_evals,
         runs_used=len(used),
-        failed_runs=len(results) - len(used),
+        failed_runs=failed,
+        zero_runs=len(results) - failed - len(used),
         bin_mean_pi=tuple(float(x) for x in pi.mean(axis=0)),
         pf_ref=pf_ref,
     )

@@ -3,7 +3,8 @@
 Three building blocks live here: a Markov kernel whose invariant law is
 the standard Gaussian truncated to a bin-wise acceptance region,
 equal-weight residual resampling of seeds, and the interpolated
-empirical quantile used to pick intermediate thresholds.
+empirical quantile used to pick intermediate thresholds, computed for
+every bin of a partition with a single sort.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ def mcmc_step(
     pbin = partition.classify(proposal)
     if not region.admits_bin(pbin):
         return point, gval, bin_index, False
-    ctr.add(1)
-    g_prop = float(ls.evaluator(proposal[None, :])[0])
+    g_prop = float(evaluate_batch(ls, proposal[None, :], ctr)[0])
     if g_prop <= region.gamma[pbin]:
         return proposal, g_prop, pbin, True
     return point, gval, bin_index, False
@@ -143,26 +143,27 @@ def propagate_chains(
     left = offspring[keep] - 1
 
     scale = math.sqrt(1.0 - cfg.corr**2)
-    alive = left > 0
-    while np.any(alive):
-        rows = np.flatnonzero(alive)
+    rows = (left > 0).nonzero()[0]  # chains still growing
+    while rows.size:
         eps = stream.standard_normal((rows.size, dim))
         proposals = cfg.corr * cur_p[rows] + scale * eps
         pbins = partition.classify(proposals)
-        ok = np.flatnonzero(region.active[pbins])
+        ok = region.active[pbins].nonzero()[0]
         if ok.size:
             g_prop = evaluate_batch(ls, proposals[ok], ctr)
             hit = g_prop <= region.gamma[pbins[ok]]
-            acc = rows[ok[hit]]
-            cur_p[acc] = proposals[ok[hit]]
+            moved = ok[hit]
+            acc = rows[moved]
+            cur_p[acc] = proposals[moved]
             cur_g[acc] = g_prop[hit]
-            cur_b[acc] = pbins[ok[hit]]
-        out_points[pos[rows]] = cur_p[rows]
-        out_gvals[pos[rows]] = cur_g[rows]
-        out_bins[pos[rows]] = cur_b[rows]
-        pos[rows] += 1
+            cur_b[acc] = pbins[moved]
+        at = pos[rows]
+        out_points[at] = cur_p[rows]
+        out_gvals[at] = cur_g[rows]
+        out_bins[at] = cur_b[rows]
+        pos[rows] = at + 1
         left[rows] -= 1
-        alive = left > 0
+        rows = rows[left[rows] > 0]
     return out_points, out_gvals, out_bins
 
 
@@ -186,23 +187,58 @@ def residual_resample(n_seeds: int, n_target: int, stream: RandomStream) -> np.n
     return counts
 
 
+# offsets of x_(i) and x_(i+1) from position start + i of a bin's sorted values
+_LO_HI = np.array([[-1], [0]])
+
+
+def binned_quantiles(values, bins, n_bins: int, rho: float) -> np.ndarray:
+    """Quantile of order ``rho`` of each bin's values, by one sort of the population.
+
+    Entry j equals ``interp_quantile(values[bins == j], rho)`` bit for
+    bit, and is NaN for a bin with no values. The population is sorted
+    once by (bin, value); per-bin offsets come from the bin counts, and
+    the interpolation is done for all bins at once with the arithmetic
+    of :func:`interp_quantile`.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ConfigurationError(f"quantile order must lie in (0, 1), got {rho}")
+    values = np.asarray(values, dtype=float)
+    bins = np.asarray(bins, dtype=np.int64)
+    if values.ndim != 1 or bins.shape != values.shape:
+        raise ConfigurationError("values and bins must be 1-D arrays of equal length")
+    if values.size == 0:
+        return np.full(n_bins, np.nan)
+    if bins.min() < 0:
+        raise ConfigurationError(f"bin index {bins.min()} is negative")
+    k = np.bincount(bins, minlength=n_bins)
+    if k.size != n_bins:
+        raise ConfigurationError(f"bin index {k.size - 1} is out of range for {n_bins} bins")
+    # value order, then a stable sort by bin, which is a radix sort for
+    # up to 2**16 bins
+    order = values.argsort()
+    by_bin = bins[order].astype(np.uint16 if n_bins <= 1 << 16 else np.int64)
+    x = values[order[by_bin.argsort(kind="stable")]]
+    # with h = (k - 1) * rho + 1 and i = floor(h) as in interp_quantile,
+    # x_(i) of bin j sits at position end_j - k_j + i - 1 of x
+    h = (k - 1) * rho + 1.0
+    i = h.astype(np.int64)  # h > 0, so truncation is floor
+    x_lo, x_hi = x.take(k.cumsum() - k + i + _LO_HI, mode="clip")
+    # i == k is the round-up guard (and covers k == 1); it also holds
+    # for empty bins, whose entries are then replaced by NaN
+    q = np.where(i < k, x_lo + (h - i) * (x_hi - x_lo), x_lo)
+    q[k == 0] = np.nan
+    return q
+
+
 def interp_quantile(values, rho: float) -> float:
     """Quantile of order ``rho`` by linear interpolation of the empirical CDF.
 
     With sorted values x_(1) <= ... <= x_(k) and h = (k - 1) * rho + 1,
     returns x_(floor(h)) + (h - floor(h)) * (x_(floor(h)+1) - x_(floor(h))).
-    A single value is returned as-is.
+    A single value is returned as-is. This is the one-bin case of
+    :func:`binned_quantiles`.
     """
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    k = vals.size
-    if k == 0:
+    vals = np.asarray(values, dtype=float).ravel()
+    if vals.size == 0:
         raise ConfigurationError("cannot take the quantile of an empty sample")
-    if not 0.0 < rho < 1.0:
-        raise ConfigurationError(f"quantile order must lie in (0, 1), got {rho}")
-    if k == 1:
-        return float(vals[0])
-    h = (k - 1) * rho + 1.0
-    i = int(math.floor(h))
-    if i >= k:  # guards float round-up at rho near 1
-        return float(vals[-1])
-    return float(vals[i - 1] + (h - i) * (vals[i] - vals[i - 1]))
+    return float(binned_quantiles(vals, np.zeros(vals.size, dtype=np.int64), 1, rho)[0])

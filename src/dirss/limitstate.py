@@ -5,7 +5,9 @@ scalar; failure is the event g <= 0. Evaluators are vectorized, taking
 an (N, n) array of points and returning an (N,) array of values. All
 counted evaluations go through :func:`evaluate` or
 :func:`evaluate_batch` so that the reported cost of a run equals the
-number of g-calls exactly.
+number of g-calls exactly, and so that g raising, or returning values
+of the wrong shape or non-finite values, surfaces as an
+:class:`EvaluationError` that names the problem.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 
 
 @dataclass(frozen=True)
@@ -49,19 +51,42 @@ def evaluate(ls: LimitState, point, ctr: EvalCounter) -> float:
         raise ConfigurationError(
             f"point of shape {pts.shape} does not match problem dimension {ls.dimension}"
         )
-    ctr.add(1)
-    return float(ls.evaluator(pts[None, :])[0])
+    return float(evaluate_batch(ls, pts[None, :], ctr)[0])
 
 
 def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.ndarray:
-    """Evaluate g at each row of ``points``, incrementing the counter by the row count."""
+    """Evaluate g at each row of ``points``, incrementing the counter by the row count.
+
+    Raises :class:`EvaluationError` if g raises, or returns anything but
+    one finite value per point.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != ls.dimension:
         raise ConfigurationError(
             f"points of shape {pts.shape} do not match problem dimension {ls.dimension}"
         )
     ctr.add(pts.shape[0])
-    return np.asarray(ls.evaluator(pts), dtype=float)
+    try:
+        gv = np.asarray(ls.evaluator(pts), dtype=float)
+    except Exception as exc:  # any failure of user code is a failure of this run
+        raise EvaluationError(
+            f"g of problem {ls.name!r} raised {type(exc).__name__}: {exc}", ctr.count
+        ) from exc
+    n = pts.shape[0]
+    if gv.shape != (n,):
+        raise EvaluationError(
+            f"g of problem {ls.name!r} returned shape {gv.shape} for {n} points, "
+            f"expected ({n},)",
+            ctr.count,
+        )
+    if not np.isfinite(gv).all():
+        bad = int(n - np.isfinite(gv).sum())
+        raise EvaluationError(
+            f"g of problem {ls.name!r} returned {bad} non-finite values (NaN or inf) "
+            f"among {n} points",
+            ctr.count,
+        )
+    return gv
 
 
 def _piecewise_linear_g(pts: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from dirss import LimitState, limitstate, register_problem
 from dirss.cli import main
 
 CASE1_CUTS = [-math.pi + 0.8, 0.8]
@@ -61,6 +62,73 @@ def test_run_mcs_on_always_failing_problem(tmp_path, capsys):
     assert "pf_hat = 1.000000e+00" in capsys.readouterr().out
 
 
+def test_run_exits_1_on_bad_g(tmp_path, capsys):
+    register_problem("nan_g", lambda: LimitState("nan_g", 2, lambda p: np.full(len(p), np.nan)))
+    try:
+        cfg = _write_config(tmp_path / "cfg.json", problem="nan_g")
+        assert main(["run", "--config", str(cfg)]) == 1
+    finally:
+        limitstate._REGISTRY.pop("nan_g", None)
+    err = capsys.readouterr().err
+    assert "'nan_g'" in err and "non-finite" in err
+
+
+def test_replicate_reports_runs_whose_g_raised(tmp_path, capsys):
+    def g(pts):
+        if (pts[:, 1] > 3.3).any():
+            raise RuntimeError("solver diverged")
+        return 2.0 - pts[:, 0]
+
+    register_problem("flaky_g", lambda: LimitState("flaky_g", 2, g))
+    register_problem("broken_g", lambda: LimitState("broken_g", 2, lambda p: p))
+    try:
+        cfg = _write_config(tmp_path / "cfg.json", problem="flaky_g", algorithm="ss", n=200)
+        out = tmp_path / "rep"
+        args = ["replicate", "--config", str(cfg), "--runs", "16", "--out", str(out),
+                "--pf-ref", "0.0228"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert 0 < summary["failed_runs"] < 16
+        assert f"{summary['failed_runs']} of 16 runs failed" in captured.err
+        assert "RuntimeError: solver diverged" in captured.err
+        assert f"failed={summary['failed_runs']}" in captured.out
+
+        cfg = _write_config(tmp_path / "cfg.json", problem="broken_g", algorithm="ss", n=200)
+        assert main(args) == 1
+        assert "16 of 16 runs failed" in capsys.readouterr().err
+    finally:
+        limitstate._REGISTRY.pop("flaky_g", None)
+        limitstate._REGISTRY.pop("broken_g", None)
+
+
+def test_replicate_without_usable_runs_exits_1(tmp_path, capsys):
+    # every run returns 0, then a mix of zero and failed runs: a runtime
+    # outcome (exit 1) that still leaves runs.csv to look at
+    def g(pts):
+        if (pts[:, 1] > 2.5).any():
+            raise RuntimeError("solver diverged")
+        return 10.0 + pts[:, 0] ** 2
+
+    register_problem("flaky_never", lambda: LimitState("flaky_never", 2, g))
+    out = tmp_path / "rep"
+    try:
+        for problem, expect in [("never_fail", "0 failed, 8 returned"),
+                                ("flaky_never", "2 failed, 6 returned")]:
+            cfg = _write_config(tmp_path / "cfg.json", problem=problem, algorithm="ss",
+                                n=30, max_levels=3)
+            args = ["replicate", "--config", str(cfg), "--runs", "8", "--out", str(out),
+                    "--pf-ref", "1e-3"]
+            assert main(args) == 1
+            assert f"no usable runs: {expect} a zero estimate" in capsys.readouterr().err
+            with open(out / "runs.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 8 and all(float(r["pf_hat"]) == 0 for r in rows)
+            assert not (out / "summary.json").exists()
+    finally:
+        limitstate._REGISTRY.pop("flaky_never", None)
+
+
 def test_config_validation_messages(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -98,6 +166,11 @@ def test_replicate_outputs(tmp_path, capsys):
     used = [float(r["pf_hat"]) for r in rows if r["status"] != "failed" and float(r["pf_hat"]) > 0]
     est = np.array(used)
     assert summary["summary"]["runs_used"] == len(used)
+    assert summary["summary"]["failed_runs"] == sum(r["status"] == "failed" for r in rows)
+    assert summary["summary"]["zero_runs"] == sum(
+        r["status"] != "failed" and float(r["pf_hat"]) == 0 for r in rows
+    )
+    assert f"zero={summary['summary']['zero_runs']}" in stdout
     assert summary["summary"]["mean_pf"] == pytest.approx(est.mean(), rel=1e-9)
     assert summary["summary"]["cov"] == pytest.approx(est.std(ddof=1) / est.mean(), rel=1e-9)
     r_expected = math.sqrt(np.mean(np.log10(est / summary["summary"]["pf_ref"]) ** 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 from dirss import (
     ConfigurationError,
     EvalCounter,
+    EvaluationError,
     LimitState,
     RandomStream,
     evaluate_batch,
@@ -16,6 +18,7 @@ from dirss import (
     level_snapshot,
     make_angular_sectors_2d,
     make_linear,
+    make_orthants,
     make_single_bin,
     run_dss,
     run_mcs,
@@ -112,6 +115,15 @@ def test_ss_estimate_matches_decomposition():
     (outcome,) = res.bin_outcomes
     assert outcome.status == "finished"
     assert res.pf_hat == pytest.approx(0.2**outcome.level * outcome.p_final, abs=1e-15)
+
+
+def test_ss_stream_defaults_to_seed_zero():
+    ls = get_problem("piecewise_linear")
+    res = run_ss(ls, 200)
+    ref = run_ss(ls, 200, stream=RandomStream(0))
+    assert (res.pf_hat, res.n_evals, res.level_records) == (
+        ref.pf_hat, ref.n_evals, ref.level_records
+    )
 
 
 def test_ss_input_validation():
@@ -224,3 +236,72 @@ def test_dss_and_ss_agree_in_distribution_on_single_bin():
     dss = [run_dss(ls, single, 1000, stream=RandomStream(16, i)).pf_hat for i in range(m)]
     med_ss, med_dss = np.median(ss), np.median(dss)
     assert abs(med_dss - med_ss) <= 0.25 * max(med_ss, med_dss)
+
+
+def test_bad_g_stops_the_run_with_evaluation_error():
+    # a column vector used to die in numpy indexing, and an all-NaN g
+    # used to run on to a silent zero estimate
+    column = LimitState("column_g", 2, lambda pts: 3.0 - pts[:, :1])
+    with pytest.raises(EvaluationError, match="shape"):
+        run_dss(column, CASE1, 100, stream=RandomStream(0))
+    nan_g = LimitState("nan_g", 2, lambda pts: np.full(pts.shape[0], np.nan))
+    for run in (lambda: run_ss(nan_g, 100), lambda: run_dss(nan_g, CASE1, 100)):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            run()
+
+
+def test_dss_stream_defaults_to_seed_zero():
+    ls = get_problem("piecewise_linear")
+    res = run_dss(ls, CASE1, 200)
+    ref = run_dss(ls, CASE1, 200, stream=RandomStream(0))
+    assert (res.pf_hat, res.n_evals, res.level_records) == (
+        ref.pf_hat, ref.n_evals, ref.level_records
+    )
+
+
+# Values below were recorded from the per-bin loop that preceded the
+# vectorised threshold update; the update must reproduce them exactly.
+
+def test_dss_pinned_run_on_case1_cuts():
+    res = run_dss(get_problem("piecewise_linear"), CASE1, 400, stream=RandomStream(22))
+    assert res.pf_hat == 3.859969254901962e-05
+    assert res.n_evals == 3245
+    assert res.status == "converged"
+    gammas = [
+        (0.7126061880230465, 0.786554498505104),
+        (0.6318638969503326, 0.28280790373292763),
+        (0.5701638914773112, 0.21456107938499944),
+        (0.5051202999334744, 0.18182268695201792),
+        (0.26952350531924774, 0.14759062818944865),
+        (0.0, 0.09966827605209505),
+        (0.0, 0.0742416329927098),
+        (0.0, 0.039092958293691527),
+        (0.0, 0.012283653071270328),
+        (0.0, 0.0),
+    ]
+    counts = [(209, 191), (193, 207), (195, 205), (191, 209), (203, 197),
+              (204, 196), (0, 400), (0, 400), (0, 400), (0, 400)]
+    seeds = [81, 81, 80, 86, 83, 40, 120, 99, 81, 0]
+    assert [r.gamma for r in res.level_records] == gammas
+    assert [r.counts for r in res.level_records] == counts
+    assert [r.n_seeds for r in res.level_records] == seeds
+    assert [r.pf_finished for r in res.level_records] == [0.0] * 5 + [
+        3.843137254901962e-05
+    ] * 4 + [3.859969254901962e-05]
+    assert [r.upper_bound for r in res.level_records] == [
+        0.2, 0.04000000000000001, 0.008000000000000002, 0.0016000000000000003,
+        0.0003200000000000001, 3.200000000000001e-05, 6.400000000000002e-06,
+        1.2800000000000007e-06, 2.560000000000001e-07, 0.0,
+    ]
+
+
+def test_dss_pinned_run_on_orthants():
+    res = run_dss(make_linear(2.5, 6), make_orthants(6), 2000, stream=RandomStream(21))
+    assert res.pf_hat == 0.008961621189728907
+    assert res.n_evals == 6396
+    assert res.levels == 7
+    assert res.status == "converged"
+    assert sum(o.status == "finished" for o in res.bin_outcomes) == 32
+    # 7 levels x 64 thresholds and counts, compared through their repr
+    digest = hashlib.sha256(repr(res.level_records).encode()).hexdigest()
+    assert digest == "818fea2156e3539759a19706654b413d6bfbe9ee09be888b03019757f5e79eeb"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -9,7 +10,10 @@ import pytest
 from dirss import (
     ConfigurationError,
     ExperimentConfig,
+    LimitState,
     RandomStream,
+    make_linear,
+    register_problem,
     reference_probability,
     replicate,
     summarize,
@@ -105,13 +109,15 @@ def test_summarize_excludes_failed_and_zero_runs():
         _fake_result(1e-4, n_evals=100),
         _fake_result(0.0, n_evals=50),
         _fake_result(2e-4, status="failed", n_evals=30),
+        _fake_result(0.0, status="failed", n_evals=20),
     ]
     s = summarize(results, ref)
     assert s.runs_used == 1
-    assert s.failed_runs == 2
+    assert s.failed_runs == 2  # by status, whatever the estimate
+    assert s.zero_runs == 1
     assert s.mean_pf == pytest.approx(1e-4)
     # cost averages over every run regardless of outcome
-    assert s.mean_evals == pytest.approx((100 + 50 + 30) / 3)
+    assert s.mean_evals == pytest.approx((100 + 50 + 30 + 20) / 4)
 
 
 def test_summarize_requires_usable_runs():
@@ -162,3 +168,40 @@ def test_mean_evals_exact():
     ref = 1e-3
     results = [_fake_result(ref, n_evals=k) for k in (100, 230, 170)]
     assert summarize(results, ref).mean_evals == (100 + 230 + 170) / 3
+
+
+def _flaky_linear():
+    # g = 2 - theta_1, raising whenever a point strays beyond theta_2 = 3.3
+    base = make_linear(2.0, dimension=2)
+
+    def g(pts):
+        if (pts[:, 1] > 3.3).any():
+            raise RuntimeError("solver diverged")
+        return base.evaluator(pts)
+
+    return LimitState("flaky_linear", 2, g)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replicate_records_raising_g_as_failed_runs(jobs):
+    from dirss import limitstate
+
+    register_problem("flaky_linear", _flaky_linear)
+    register_problem("plain_linear", lambda: make_linear(2.0, dimension=2))
+    try:
+        cfg = ExperimentConfig(problem="flaky_linear", algorithm="ss", n=200, runs=16, seed=3)
+        results = replicate(cfg, jobs=jobs)
+        plain = replicate(dataclasses.replace(cfg, problem="plain_linear"))
+    finally:
+        limitstate._REGISTRY.pop("flaky_linear", None)
+        limitstate._REGISTRY.pop("plain_linear", None)
+    failed = [i for i, r in enumerate(results) if r.status == "failed"]
+    assert 0 < len(failed) < cfg.runs
+    for i, (res, ref) in enumerate(zip(results, plain)):
+        if i in failed:
+            assert "flaky_linear" in res.reason and "RuntimeError: solver diverged" in res.reason
+            assert res.pf_hat == 0.0 and 0 < res.n_evals <= ref.n_evals
+            assert len(res.bin_outcomes) == 1
+        else:
+            assert res.reason == ""
+            assert (res.pf_hat, res.n_evals, res.levels) == (ref.pf_hat, ref.n_evals, ref.levels)

@@ -12,6 +12,7 @@ from dirss import (
     EvalCounter,
     McmcConfig,
     RandomStream,
+    binned_quantiles,
     interp_quantile,
     make_halfspace,
     make_single_bin,
@@ -60,6 +61,65 @@ def test_quantile_rejects_bad_input():
         interp_quantile([1.0], 0.0)
     with pytest.raises(ConfigurationError):
         interp_quantile([1.0], 1.0)
+
+
+def _sorted_quantile(values, rho):
+    # the interpolated quantile written out on one sorted sample
+    x = np.sort(values)
+    k = x.size
+    h = (k - 1) * rho + 1.0
+    i = math.floor(h)
+    if k == 1 or i >= k:
+        return x[-1]
+    return x[i - 1] + (h - i) * (x[i] - x[i - 1])
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.5, 1.0 - 1e-12])
+def test_binned_quantiles_equal_per_bin_interp_quantile(rho):
+    # exact equality: the vectorised update must not move any threshold
+    rng = np.random.default_rng(8)
+    sizes = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 80))
+        n_bins = int(rng.integers(1, 12))
+        if trial % 2:
+            vals = rng.normal(size=n)
+        else:  # heavy ties
+            vals = rng.integers(-3, 4, size=n).astype(float)
+        # skewed bin weights leave some bins empty and some with one member
+        bins = rng.choice(n_bins, size=n, p=rng.dirichlet(np.full(n_bins, 0.3)))
+        q = binned_quantiles(vals, bins, n_bins, rho)
+        assert q.shape == (n_bins,)
+        for j in range(n_bins):
+            members = vals[bins == j]
+            sizes.add(min(members.size, 2))
+            if members.size == 0:
+                assert np.isnan(q[j])
+            else:
+                assert q[j] == interp_quantile(members, rho) == _sorted_quantile(members, rho)
+    assert sizes == {0, 1, 2}  # empty, single-member and larger bins all occurred
+
+
+def test_binned_quantiles_beyond_radix_range():
+    # more than 2**16 bins takes the general stable sort
+    rng = np.random.default_rng(9)
+    vals = rng.normal(size=300)
+    bins = rng.integers(70_000, 70_010, size=300)
+    q = binned_quantiles(vals, bins, 70_010, 0.2)
+    for j in range(70_000, 70_010):
+        assert q[j] == interp_quantile(vals[bins == j], 0.2)
+    assert np.isnan(q[:70_000]).all()
+
+
+def test_binned_quantiles_rejects_bad_input():
+    with pytest.raises(ConfigurationError):
+        binned_quantiles([1.0, 2.0], [0, 3], 2, 0.2)
+    with pytest.raises(ConfigurationError, match="negative"):
+        binned_quantiles([1.0, 2.0], [-1, 0], 2, 0.2)
+    with pytest.raises(ConfigurationError):
+        binned_quantiles([1.0, 2.0], [0], 2, 0.2)
+    with pytest.raises(ConfigurationError):
+        binned_quantiles([1.0], [0], 1, 1.0)
 
 
 # ------------------------------------------------------------- resampling

@@ -6,6 +6,8 @@ import pytest
 from dirss import (
     ConfigurationError,
     EvalCounter,
+    EvaluationError,
+    LimitState,
     RandomStream,
     evaluate,
     evaluate_batch,
@@ -116,3 +118,31 @@ def test_builtin_trivial_problems():
     ctr = EvalCounter()
     assert evaluate_batch(get_problem("always_fail"), np.zeros((3, 2)), ctr).max() == -1.0
     assert evaluate_batch(get_problem("never_fail"), np.zeros((3, 2)), ctr).min() == 1.0
+
+
+def _raises(pts):
+    raise RuntimeError("solver diverged")
+
+
+@pytest.mark.parametrize(
+    "evaluator,fault",
+    [
+        (lambda pts: np.ones((pts.shape[0], 1)), "shape (5, 1) for 5 points"),
+        (lambda pts: np.full(pts.shape[0], np.nan), "5 non-finite values"),
+        (lambda pts: np.where(pts[:, 0] > 0, np.inf, 1.0), "2 non-finite values"),
+        (_raises, "raised RuntimeError: solver diverged"),
+    ],
+)
+def test_bad_g_output_is_evaluation_error(evaluator, fault):
+    ls = LimitState("bad_g", 2, evaluator)
+    ctr = EvalCounter()
+    ctr.add(10)
+    pts = np.zeros((5, 2))
+    pts[:2, 0] = 1.0
+    with pytest.raises(EvaluationError) as exc:
+        evaluate_batch(ls, pts, ctr)
+    assert "'bad_g'" in str(exc.value) and fault in str(exc.value)
+    assert exc.value.n_evals == 15
+    assert not isinstance(exc.value, ConfigurationError)
+    with pytest.raises(EvaluationError):
+        evaluate(ls, np.ones(2), EvalCounter())
