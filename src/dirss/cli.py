@@ -227,15 +227,13 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not any(r.status != "failed" and r.pf_hat > 0.0 for r in results):
-        # nothing to summarize: a runtime outcome, not a bad configuration
-        write_runs_csv(out / "runs.csv", results)
-        zero = cfg.runs - len(failed)
-        print(f"no usable runs: {len(failed)} failed, {zero} returned a zero estimate; "
-              f"wrote {out / 'runs.csv'}", file=sys.stderr)
-        return 1
     summary = summarize(results, pf_ref)
     write_runs_csv(out / "runs.csv", results)
+    if summary.runs_used == 0:
+        # nothing to summarize: a runtime outcome, not a bad configuration
+        print(f"no usable runs: {summary.failed_runs} failed, {summary.zero_runs} "
+              f"returned a zero estimate; wrote {out / 'runs.csv'}", file=sys.stderr)
+        return 1
     write_summary_json(out / "summary.json", cfg, summary)
     write_hist_csv(out / "hist.csv", results)
     print(f"problem={cfg.problem} algorithm={cfg.algorithm} n={cfg.n} runs={cfg.runs}")

@@ -5,6 +5,13 @@ All three estimate P(g(Theta) <= 0) for Theta ~ N(0, I_n) and return a
 :class:`RunResult` carrying the estimate, the per-bin decomposition,
 per-level diagnostics, and the exact number of g-evaluations spent.
 
+Each estimator is a step generator (``mcs_steps``, ``ss_steps``,
+``dss_steps``) that yields the points it needs evaluated and receives
+their g-values back, so that whoever drives it decides how g is called:
+``run_mcs``, ``run_ss`` and ``run_dss`` evaluate each batch on its own,
+and the replicate harness joins the batches of several runs into one
+g-call.
+
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
 thresholds per bin of a conic partition so that every direction stays
@@ -23,15 +30,16 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gaussian import RandomStream
-from .kernels import (
+from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chains here
     AcceptRegion,
     McmcConfig,
     binned_quantiles,
     interp_quantile,
     propagate_chains,
+    propagate_steps,
     residual_resample,
 )
-from .limitstate import EvalCounter, LimitState, evaluate_batch
+from .limitstate import EvalCounter, LimitState, run_steps
 from .partition import Partition, make_single_bin
 
 # consecutive empty levels after which an active bin is written off
@@ -113,16 +121,31 @@ def run_mcs(
     chunk_size: int = 1_000_000,
 ) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0."""
+    ctr = EvalCounter()
+    return run_steps(mcs_steps(ls, n, stream, ctr, chunk_size), ls, ctr)
+
+
+def mcs_steps(
+    ls: LimitState,
+    n: int,
+    stream: RandomStream,
+    ctr: EvalCounter,
+    chunk_size: int = 1_000_000,
+):
+    """Step generator of :func:`run_mcs`.
+
+    ``ctr`` is the run's counter: whoever drives the generator counts
+    the evaluations on it, and the result reports its count.
+    """
     if n < 1:
         raise ConfigurationError("Monte Carlo needs at least 1 sample")
-    ctr = EvalCounter()
     n_fail = 0
     fail_pts: list[np.ndarray] = []
     done = 0
     while done < n:
         k = min(chunk_size, n - done)
         pts = stream.standard_normal((k, ls.dimension))
-        gv = evaluate_batch(ls, pts, ctr)
+        gv = yield pts
         mask = gv <= 0.0
         n_fail += int(mask.sum())
         if mask.any():
@@ -167,6 +190,21 @@ def run_ss(
     final threshold is forced to zero and the run is flagged. Without a
     ``stream`` the run draws from ``RandomStream(0)``.
     """
+    ctr = EvalCounter()
+    stream = RandomStream(0) if stream is None else stream
+    return run_steps(ss_steps(ls, n, rho, mcmc, max_levels, stream, ctr), ls, ctr)
+
+
+def ss_steps(
+    ls: LimitState,
+    n: int,
+    rho: float,
+    mcmc: McmcConfig | None,
+    max_levels: int,
+    stream: RandomStream,
+    ctr: EvalCounter,
+):
+    """Step generator of :func:`run_ss`; ``ctr`` as in :func:`mcs_steps`."""
     if n < 2:
         raise ConfigurationError("subset simulation needs at least 2 samples per level")
     if not 0.0 < rho < 1.0:
@@ -174,12 +212,10 @@ def run_ss(
     if max_levels < 1:
         raise ConfigurationError("max_levels must be at least 1")
     mcmc = mcmc or McmcConfig()
-    stream = RandomStream(0) if stream is None else stream
     single = make_single_bin(ls.dimension)
 
-    ctr = EvalCounter()
     pts = stream.standard_normal((n, ls.dimension))
-    gv = evaluate_batch(ls, pts, ctr)
+    gv = yield pts
     bins = np.zeros(n, dtype=np.int64)
     records: list[LevelRecord] = []
     gamma_prev = math.inf
@@ -210,9 +246,9 @@ def run_ss(
             )
         counts = residual_resample(m, n, stream)
         region = AcceptRegion.global_threshold(gamma_t)
-        pts, gv, bins = propagate_chains(
+        pts, gv, bins = yield from propagate_steps(
             pts[seed_mask], gv[seed_mask], bins[seed_mask],
-            counts, region, mcmc, stream, ls, single, ctr,
+            counts, region, mcmc, stream, single,
         )
         gamma_prev = gamma_t
     raise AssertionError("unreachable: loop always returns")
@@ -247,6 +283,24 @@ def run_dss(
     A level costs O(n log n) whatever the number of bins: all bins'
     quantiles come from one sort of the population.
     """
+    ctr = EvalCounter()
+    stream = RandomStream(0) if stream is None else stream
+    steps = dss_steps(ls, partition, n, rho, mcmc, eps_tol, max_levels, stream, ctr)
+    return run_steps(steps, ls, ctr)
+
+
+def dss_steps(
+    ls: LimitState,
+    partition: Partition,
+    n: int,
+    rho: float,
+    mcmc: McmcConfig | None,
+    eps_tol: float,
+    max_levels: int,
+    stream: RandomStream,
+    ctr: EvalCounter,
+):
+    """Step generator of :func:`run_dss`; ``ctr`` as in :func:`mcs_steps`."""
     if n < 2:
         raise ConfigurationError("directional subset simulation needs at least 2 samples")
     if not 0.0 < rho < 1.0:
@@ -261,13 +315,11 @@ def run_dss(
             f"problem dimension {ls.dimension}"
         )
     mcmc = mcmc or McmcConfig()
-    stream = RandomStream(0) if stream is None else stream
 
-    ctr = EvalCounter()
     n_bins = partition.n_bins
     p0 = partition.probs
     pts = stream.standard_normal((n, ls.dimension))
-    gv = evaluate_batch(ls, pts, ctr)
+    gv = yield pts
     bins = partition.classify(pts)
 
     gamma = np.full(n_bins, np.inf)
@@ -332,9 +384,9 @@ def run_dss(
             break
         counts = residual_resample(m, n, stream)
         region = AcceptRegion(active.copy(), gamma.copy())
-        pts, gv, bins = propagate_chains(
+        pts, gv, bins = yield from propagate_steps(
             pts[seed_mask], gv[seed_mask], bins[seed_mask],
-            counts, region, mcmc, stream, ls, partition, ctr,
+            counts, region, mcmc, stream, partition,
         )
 
     for j in np.flatnonzero(active):

@@ -7,12 +7,18 @@ degree of parallelism), and :func:`summarize` reduces the results to
 the statistics used for benchmarking: mean estimate, coefficient of
 variation, the log-scale root-mean-square error R against a reference
 value, and the average evaluation cost.
+
+Runs are advanced in groups, in lockstep: every step, the points that
+the runs of a group need evaluated are joined into one g-call, and each
+run counts its own points. A run's result does not depend on the group
+it ran in.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -20,13 +26,26 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .estimators import BinOutcome, RunResult, run_dss, run_mcs, run_ss
+from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run_dss here
+    BinOutcome,
+    RunResult,
+    dss_steps,
+    mcs_steps,
+    run_dss,
+    run_mcs,
+    run_ss,
+    ss_steps,
+)
 from .gaussian import RandomStream
 from .kernels import McmcConfig
-from .limitstate import LimitState, get_problem
+from .limitstate import EvalCounter, LimitState, evaluate_batch, get_problem
 from .partition import Partition, from_spec
 
 ALGORITHMS = ("mcs", "ss", "dss")
+
+# Runs of a group share g-calls; a group holds max(1, _GROUP_POINTS // (n * dim))
+# runs, so that joined populations stay small next to one large run's.
+_GROUP_POINTS = 2**16
 
 # Pinned reference probabilities for the built-in benchmarks, from
 # brute-force Monte Carlo with 1e8 evaluations. `reference_probability`
@@ -61,7 +80,8 @@ class ReplicationSummary:
 
     ``failed_runs`` counts runs with status "failed" and ``zero_runs``
     the other runs whose estimate is 0; neither enters the estimate
-    statistics.
+    statistics. With no usable run (``runs_used == 0``), ``mean_pf``,
+    ``cov``, ``r_metric`` and ``bin_mean_pi`` are NaN.
     """
 
     mean_pf: float
@@ -113,6 +133,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
 
 
+def group_size(cfg: ExperimentConfig, dimension: int) -> int:
+    """Runs advanced together in one group: ``max(1, 2**16 // (n * dim))``."""
+    return max(1, _GROUP_POINTS // (cfg.n * dimension))
+
+
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
     """Execute one run of the configured experiment with the given stream id.
 
@@ -122,48 +147,110 @@ def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
     it has no levels, and every bin is unresolved with its whole
     probability as the bound.
     """
+    return run_group(cfg, [stream_id])[0]
+
+
+def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResult]:
+    """Execute the runs with the given stream ids in lockstep.
+
+    Each step joins the points that the runs need evaluated into one
+    g-call and hands every run its own values, counted on its own
+    counter. If the joined call raises :class:`EvaluationError`, that
+    step evaluates each run's points on their own instead, so exactly
+    the runs whose points make g fail end as in :func:`run_single`.
+    Results equal those of :func:`run_single`, run by run.
+    """
     ls = build_problem(cfg)
-    stream = RandomStream(cfg.seed, stream_id=stream_id)
-    mcmc = McmcConfig(cfg.mcmc_corr)
     part = build_partition(cfg, ls.dimension) if cfg.algorithm == "dss" else None
-    try:
+    mcmc = McmcConfig(cfg.mcmc_corr)
+    ctrs = [EvalCounter() for _ in stream_ids]
+    steps = []
+    for sid, ctr in zip(stream_ids, ctrs):
+        stream = RandomStream(cfg.seed, stream_id=sid)
         if cfg.algorithm == "mcs":
-            return run_mcs(ls, cfg.n, stream)
-        if cfg.algorithm == "ss":
-            return run_ss(
-                ls, cfg.n, rho=cfg.rho, mcmc=mcmc, max_levels=cfg.max_levels, stream=stream
-            )
-        return run_dss(
-            ls, part, cfg.n,
-            rho=cfg.rho, mcmc=mcmc, eps_tol=cfg.eps_tol,
-            max_levels=cfg.max_levels, stream=stream,
-        )
-    except EvaluationError as exc:
-        probs = [1.0] if part is None else part.probs
-        outcomes = tuple(
-            BinOutcome(j, "unresolved", None, None, 0.0, float(p)) for j, p in enumerate(probs)
-        )
-        return RunResult(
-            cfg.algorithm, 0.0, outcomes, 0, exc.n_evals, 1.0, "failed", (),
-            np.empty((0, ls.dimension)), reason=str(exc),
-        )
+            steps.append(mcs_steps(ls, cfg.n, stream, ctr))
+        elif cfg.algorithm == "ss":
+            steps.append(ss_steps(ls, cfg.n, cfg.rho, mcmc, cfg.max_levels, stream, ctr))
+        else:
+            steps.append(dss_steps(
+                ls, part, cfg.n, cfg.rho, mcmc, cfg.eps_tol, cfg.max_levels, stream, ctr
+            ))
+
+    results: list[RunResult | None] = [None] * len(steps)
+    wants: dict[int, np.ndarray] = {}  # run -> the points it waits on
+
+    def advance(k: int, gv) -> None:
+        try:
+            wants[k] = steps[k].send(gv)
+        except StopIteration as stop:
+            wants.pop(k, None)
+            results[k] = stop.value
+
+    for k in range(len(steps)):
+        advance(k, None)
+    while wants:
+        runs = list(wants)
+        joined = _evaluate_joined(ls, [wants[k] for k in runs]) if len(runs) > 1 else None
+        for i, k in enumerate(runs):
+            if joined is not None:
+                gv = joined[i]
+                ctrs[k].add(gv.shape[0])
+            else:
+                try:
+                    gv = evaluate_batch(ls, wants[k], ctrs[k])
+                except EvaluationError as exc:
+                    steps[k].close()
+                    del wants[k]
+                    results[k] = _failed_run(cfg, ls, part, exc)
+                    continue
+            advance(k, gv)
+    return results
+
+
+def _evaluate_joined(ls: LimitState, chunks: list[np.ndarray]) -> list[np.ndarray] | None:
+    """g-values of every chunk from one g-call, or None if that call fails."""
+    try:
+        gv = evaluate_batch(ls, np.concatenate(chunks), EvalCounter())
+    except EvaluationError:
+        return None
+    ends = np.cumsum([c.shape[0] for c in chunks]).tolist()
+    return [gv[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _failed_run(cfg, ls, part, exc: EvaluationError) -> RunResult:
+    probs = [1.0] if part is None else part.probs
+    outcomes = tuple(
+        BinOutcome(j, "unresolved", None, None, 0.0, float(p)) for j, p in enumerate(probs)
+    )
+    return RunResult(
+        cfg.algorithm, 0.0, outcomes, 0, exc.n_evals, 1.0, "failed", (),
+        np.empty((0, ls.dimension)), reason=str(exc),
+    )
 
 
 def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run the experiment ``cfg.runs`` times, run i on stream_id i.
 
-    Per-run failures come back as results with status "failed" and a
-    ``reason``: a sampler that went extinct, or a g that raised or
-    returned bad values (see :class:`EvaluationError`). The batch itself
-    never aborts on them. With ``jobs`` > 1 runs are distributed over a
-    process pool; results are identical to the sequential order because
-    streams are pre-assigned.
+    Runs go in groups of :func:`group_size` runs through
+    :func:`run_group`, which serves a group with one g-call per step;
+    ``n_evals`` stays per run. Per-run failures come back as results
+    with status "failed" and a ``reason``: a sampler that went extinct,
+    or a g that raised or returned bad values (see
+    :class:`EvaluationError`). The batch itself never aborts on them.
+    With ``jobs`` > 1 the groups, made no larger than needed to give
+    every worker runs, are distributed over a process pool. Results are
+    identical for any grouping and any ``jobs``, because streams are
+    pre-assigned and a run does not depend on its group.
     """
     validate_config(cfg)
+    size = group_size(cfg, build_problem(cfg).dimension)
+    if jobs > 1:
+        size = min(size, -(-cfg.runs // jobs))
+    groups = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
     if jobs <= 1:
-        return [run_single(cfg, i) for i in range(cfg.runs)]
+        return [r for g in groups for r in run_group(cfg, g)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(partial(run_single, cfg), range(cfg.runs), chunksize=8))
+        return [r for rs in pool.map(partial(run_group, cfg), groups) for r in rs]
 
 
 def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
@@ -172,7 +259,8 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     Runs that failed or returned a zero estimate are excluded from the
     mean, CoV and R (their logarithm is undefined) and counted in
     ``failed_runs`` and ``zero_runs``; the evaluation cost is averaged
-    over all runs.
+    over all runs. A batch without a usable run gives ``runs_used == 0``
+    and NaN statistics: that is an outcome of the runs, not an error.
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
@@ -180,13 +268,17 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
         raise ConfigurationError("reference probability must be positive")
     failed = sum(r.status == "failed" for r in results)
     used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]
+    mean_evals = float(np.mean([r.n_evals for r in results]))
     if not used:
-        raise ConfigurationError("all runs failed or returned zero estimates")
+        nan = math.nan
+        return ReplicationSummary(
+            nan, nan, nan, mean_evals, 0, failed, len(results) - failed,
+            (nan,) * len(results[0].bin_outcomes), pf_ref,
+        )
     est = np.array([r.pf_hat for r in used])
     mean_pf = float(est.mean())
     cov = float(est.std(ddof=1) / mean_pf) if est.size > 1 else 0.0
     r_metric = float(np.sqrt(np.mean(np.log10(est / pf_ref) ** 2)))
-    mean_evals = float(np.mean([r.n_evals for r in results]))
     pi = np.array([[o.pi_hat for o in r.bin_outcomes] for r in used])
     return ReplicationSummary(
         mean_pf=mean_pf,

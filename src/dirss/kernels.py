@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .gaussian import RandomStream
-from .limitstate import EvalCounter, LimitState, evaluate_batch
+from .limitstate import EvalCounter, LimitState, evaluate_batch, run_steps
 from .partition import Partition
 
 
@@ -114,11 +114,34 @@ def propagate_chains(
     same proposal and acceptance rule as :func:`mcmc_step` (one batched
     normal draw per lockstep round), so the output population has
     exactly ``offspring.sum()`` members, every one satisfying
-    ``region``.
+    ``region``. This is :func:`propagate_steps` with every round's
+    proposals evaluated on ``ls``, counted by ``ctr``.
 
     Returns
     -------
     (points, gvals, bins) : the new population, chains stored contiguously.
+    """
+    steps = propagate_steps(
+        seed_points, seed_gvals, seed_bins, offspring, region, cfg, stream, partition
+    )
+    return run_steps(steps, ls, ctr)
+
+
+def propagate_steps(
+    seed_points: np.ndarray,
+    seed_gvals: np.ndarray,
+    seed_bins: np.ndarray,
+    offspring: np.ndarray,
+    region: AcceptRegion,
+    cfg: McmcConfig,
+    stream: RandomStream,
+    partition: Partition,
+):
+    """Step generator of :func:`propagate_chains`.
+
+    Each lockstep round that has proposals in open bins yields them and
+    expects their g-values back (``gv = yield points``); the generator
+    returns the new population.
     """
     offspring = np.asarray(offspring, dtype=np.int64)
     if offspring.shape != (seed_points.shape[0],):
@@ -150,7 +173,7 @@ def propagate_chains(
         pbins = partition.classify(proposals)
         ok = region.active[pbins].nonzero()[0]
         if ok.size:
-            g_prop = evaluate_batch(ls, proposals[ok], ctr)
+            g_prop = yield proposals[ok]
             hit = g_prop <= region.gamma[pbins[ok]]
             moved = ok[hit]
             acc = rows[moved]

@@ -120,9 +120,13 @@ def test_summarize_excludes_failed_and_zero_runs():
     assert s.mean_evals == pytest.approx((100 + 50 + 30 + 20) / 4)
 
 
-def test_summarize_requires_usable_runs():
-    with pytest.raises(ConfigurationError):
-        summarize([_fake_result(0.0)], 1e-4)
+def test_summarize_without_usable_runs_reports_nan():
+    # no usable run is an outcome of the runs, not a configuration error
+    s = summarize([_fake_result(0.0, n_evals=40), _fake_result(0.0, "failed", 20)], 1e-4)
+    assert (s.runs_used, s.failed_runs, s.zero_runs) == (0, 1, 1)
+    assert math.isnan(s.mean_pf) and math.isnan(s.cov) and math.isnan(s.r_metric)
+    assert len(s.bin_mean_pi) == 1 and math.isnan(s.bin_mean_pi[0])
+    assert s.mean_evals == 30.0
     with pytest.raises(ConfigurationError):
         summarize([], 1e-4)
 
