@@ -76,20 +76,26 @@ def load_config(path: str) -> ExperimentConfig:
         if value is None and key in ("cuts", "axis"):
             continue
         if want is list:
-            if not isinstance(value, list):
-                raise ConfigurationError(f"config key {key!r} must be a list")
+            if not isinstance(value, list) or not all(map(_is_number, value)):
+                raise ConfigurationError(f"config key {key!r} must be a list of numbers")
             kwargs[key] = tuple(float(v) for v in value)
         elif want is int:
-            if isinstance(value, bool) or int(value) != value:
+            if not _is_number(value) or isinstance(value, float) and not value.is_integer():
                 raise ConfigurationError(f"config key {key!r} must be an integer")
             kwargs[key] = int(value)
         elif want is float:
+            if not _is_number(value):
+                raise ConfigurationError(f"config key {key!r} must be a number")
             kwargs[key] = float(value)
         else:
             if not isinstance(value, str):
                 raise ConfigurationError(f"config key {key!r} must be a string")
             kwargs[key] = value
     return ExperimentConfig(**kwargs)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _positive_int(text: str) -> int:

@@ -7,10 +7,9 @@ per-level diagnostics, and the exact number of g-evaluations spent.
 
 Each estimator is a step generator (``mcs_steps``, ``ss_steps``,
 ``dss_steps``) that yields the points it needs evaluated and receives
-their g-values back, so that whoever drives it decides how g is called:
-``run_mcs``, ``run_ss`` and ``run_dss`` evaluate each batch on its own,
-and the replicate harness joins the batches of several runs into one
-g-call.
+their g-values back; one loop (``kernels.run_steps``) advances them,
+alone for ``run_mcs``, ``run_ss`` and ``run_dss`` and in groups for the
+replicate harness, whose runs share each step's g-call and chain slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -38,8 +37,9 @@ from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chai
     propagate_chains,
     propagate_steps,
     residual_resample,
+    run_alone,
 )
-from .limitstate import EvalCounter, LimitState, run_steps
+from .limitstate import EvalCounter, LimitState
 from .partition import Partition, make_single_bin
 
 # consecutive empty levels after which an active bin is written off
@@ -122,7 +122,7 @@ def run_mcs(
 ) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0."""
     ctr = EvalCounter()
-    return run_steps(mcs_steps(ls, n, stream, ctr, chunk_size), ls, ctr)
+    return run_alone(mcs_steps(ls, n, stream, ctr, chunk_size), ls, ctr, n)
 
 
 def mcs_steps(
@@ -192,7 +192,7 @@ def run_ss(
     """
     ctr = EvalCounter()
     stream = RandomStream(0) if stream is None else stream
-    return run_steps(ss_steps(ls, n, rho, mcmc, max_levels, stream, ctr), ls, ctr)
+    return run_alone(ss_steps(ls, n, rho, mcmc, max_levels, stream, ctr), ls, ctr, n)
 
 
 def ss_steps(
@@ -286,7 +286,7 @@ def run_dss(
     ctr = EvalCounter()
     stream = RandomStream(0) if stream is None else stream
     steps = dss_steps(ls, partition, n, rho, mcmc, eps_tol, max_levels, stream, ctr)
-    return run_steps(steps, ls, ctr)
+    return run_alone(steps, ls, ctr, n)
 
 
 def dss_steps(

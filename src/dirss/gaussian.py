@@ -45,9 +45,9 @@ class RandomStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def standard_normal(self, shape) -> np.ndarray:
-        """Draw standard-normal variates of the given shape, advancing the stream."""
-        return self.gen.standard_normal(shape)
+    def standard_normal(self, shape=None, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw standard normals of the given shape, or into ``out``, advancing the stream."""
+        return self.gen.standard_normal(shape, out=out)
 
     def multinomial(self, n: int, pvals: np.ndarray) -> np.ndarray:
         """One multinomial draw of ``n`` trials with cell probabilities ``pvals``."""

@@ -37,8 +37,8 @@ from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run
     ss_steps,
 )
 from .gaussian import RandomStream
-from .kernels import McmcConfig
-from .limitstate import EvalCounter, LimitState, evaluate_batch, get_problem
+from .kernels import McmcConfig, run_steps
+from .limitstate import EvalCounter, LimitState, get_problem
 from .partition import Partition, from_spec
 
 ALGORITHMS = ("mcs", "ss", "dss")
@@ -153,12 +153,9 @@ def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
 def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResult]:
     """Execute the runs with the given stream ids in lockstep.
 
-    Each step joins the points that the runs need evaluated into one
-    g-call and hands every run its own values, counted on its own
-    counter. If the joined call raises :class:`EvaluationError`, that
-    step evaluates each run's points on their own instead, so exactly
-    the runs whose points make g fail end as in :func:`run_single`.
-    Results equal those of :func:`run_single`, run by run.
+    Each step, one g-call and one chain slab serve every run
+    (:func:`dirss.kernels.run_steps`); exactly the runs whose own points
+    make g fail end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
     part = build_partition(cfg, ls.dimension) if cfg.algorithm == "dss" else None
@@ -176,45 +173,8 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
                 ls, part, cfg.n, cfg.rho, mcmc, cfg.eps_tol, cfg.max_levels, stream, ctr
             ))
 
-    results: list[RunResult | None] = [None] * len(steps)
-    wants: dict[int, np.ndarray] = {}  # run -> the points it waits on
-
-    def advance(k: int, gv) -> None:
-        try:
-            wants[k] = steps[k].send(gv)
-        except StopIteration as stop:
-            wants.pop(k, None)
-            results[k] = stop.value
-
-    for k in range(len(steps)):
-        advance(k, None)
-    while wants:
-        runs = list(wants)
-        joined = _evaluate_joined(ls, [wants[k] for k in runs]) if len(runs) > 1 else None
-        for i, k in enumerate(runs):
-            if joined is not None:
-                gv = joined[i]
-                ctrs[k].add(gv.shape[0])
-            else:
-                try:
-                    gv = evaluate_batch(ls, wants[k], ctrs[k])
-                except EvaluationError as exc:
-                    steps[k].close()
-                    del wants[k]
-                    results[k] = _failed_run(cfg, ls, part, exc)
-                    continue
-            advance(k, gv)
-    return results
-
-
-def _evaluate_joined(ls: LimitState, chunks: list[np.ndarray]) -> list[np.ndarray] | None:
-    """g-values of every chunk from one g-call, or None if that call fails."""
-    try:
-        gv = evaluate_batch(ls, np.concatenate(chunks), EvalCounter())
-    except EvaluationError:
-        return None
-    ends = np.cumsum([c.shape[0] for c in chunks]).tolist()
-    return [gv[start:end] for start, end in zip([0] + ends, ends)]
+    done = run_steps(steps, ls, ctrs, cfg.n)
+    return [_failed_run(cfg, ls, part, r) if isinstance(r, EvaluationError) else r for r in done]
 
 
 def _failed_run(cfg, ls, part, exc: EvaluationError) -> RunResult:

@@ -1,10 +1,10 @@
-"""Sampling primitives composed by the estimators.
+"""Sampling primitives composed by the estimators, and the loop that runs them.
 
-Three building blocks live here: a Markov kernel whose invariant law is
-the standard Gaussian truncated to a bin-wise acceptance region,
-equal-weight residual resampling of seeds, and the interpolated
-empirical quantile used to pick intermediate thresholds, computed for
-every bin of a partition with a single sort.
+Here live a Markov kernel whose invariant law is the standard Gaussian
+truncated to a bin-wise acceptance region, run for a group of runs in
+one slab by the lockstep loop :func:`run_steps`; equal-weight residual
+resampling of seeds; and the interpolated empirical quantile that picks
+intermediate thresholds, for every bin of a partition with one sort.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EvaluationError
 from .gaussian import RandomStream
-from .limitstate import EvalCounter, LimitState, evaluate_batch, run_steps
+from .limitstate import EvalCounter, LimitState, evaluate_batch
 from .partition import Partition
 
 
@@ -47,9 +47,6 @@ class AcceptRegion:
 
     def admits_bin(self, j: int) -> bool:
         return bool(self.active[j])
-
-    def admits(self, j: int, gval: float) -> bool:
-        return bool(self.active[j]) and gval <= self.gamma[j]
 
     @classmethod
     def everywhere(cls, n_bins: int = 1) -> "AcceptRegion":
@@ -111,11 +108,11 @@ def propagate_chains(
 
     A seed with offspring count c contributes itself plus c - 1 kernel
     steps; a seed with count 0 contributes nothing. The chains use the
-    same proposal and acceptance rule as :func:`mcmc_step` (one batched
-    normal draw per lockstep round), so the output population has
-    exactly ``offspring.sum()`` members, every one satisfying
-    ``region``. This is :func:`propagate_steps` with every round's
-    proposals evaluated on ``ls``, counted by ``ctr``.
+    same proposal and acceptance rule as :func:`mcmc_step`, so the
+    output population has exactly ``offspring.sum()`` members, every
+    one satisfying ``region``. The level's normals come from one draw of
+    ``stream``; each round evaluates its proposals in open bins on ``ls``
+    in one g-call, counted by ``ctr`` (the slab of :func:`run_steps`).
 
     Returns
     -------
@@ -124,7 +121,22 @@ def propagate_chains(
     steps = propagate_steps(
         seed_points, seed_gvals, seed_bins, offspring, region, cfg, stream, partition
     )
-    return run_steps(steps, ls, ctr)
+    return run_alone(steps, ls, ctr, int(np.sum(offspring)))
+
+
+@dataclass(frozen=True)
+class ChainRequest:
+    """A level's Markov chains as a step generator yields them, to get its new
+    population back: the seeds with offspring ``counts`` > 0, one at least 2."""
+
+    points: np.ndarray
+    gvals: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+    region: AcceptRegion
+    cfg: McmcConfig
+    stream: RandomStream
+    partition: Partition
 
 
 def propagate_steps(
@@ -139,55 +151,209 @@ def propagate_steps(
 ):
     """Step generator of :func:`propagate_chains`.
 
-    Each lockstep round that has proposals in open bins yields them and
-    expects their g-values back (``gv = yield points``); the generator
-    returns the new population.
+    Yields one :class:`ChainRequest` and returns the population it gets
+    back; a level whose kept chains take no step returns at once.
     """
     offspring = np.asarray(offspring, dtype=np.int64)
     if offspring.shape != (seed_points.shape[0],):
         raise ConfigurationError("offspring counts must match the number of seeds")
-    n_out = int(offspring.sum())
-    dim = seed_points.shape[1]
-    out_points = np.empty((n_out, dim))
-    out_gvals = np.empty(n_out)
-    out_bins = np.empty(n_out, dtype=np.int64)
-
-    starts = np.concatenate(([0], np.cumsum(offspring)[:-1]))
     keep = offspring > 0
-    cur_p = np.array(seed_points[keep], dtype=float)
-    cur_g = np.array(seed_gvals[keep], dtype=float)
-    cur_b = np.array(seed_bins[keep], dtype=np.int64)
-    pos = starts[keep].astype(np.int64)
+    seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
+    if (counts <= 1).all():
+        return seeds
+    return (yield ChainRequest(*seeds, counts, region, cfg, stream, partition))
 
-    out_points[pos] = cur_p
-    out_gvals[pos] = cur_g
-    out_bins[pos] = cur_b
-    pos = pos + 1
-    left = offspring[keep] - 1
 
-    scale = math.sqrt(1.0 - cfg.corr**2)
-    rows = (left > 0).nonzero()[0]  # chains still growing
-    while rows.size:
-        eps = stream.standard_normal((rows.size, dim))
-        proposals = cfg.corr * cur_p[rows] + scale * eps
-        pbins = partition.classify(proposals)
-        ok = region.active[pbins].nonzero()[0]
-        if ok.size:
-            g_prop = yield proposals[ok]
-            hit = g_prop <= region.gamma[pbins[ok]]
-            moved = ok[hit]
-            acc = rows[moved]
-            cur_p[acc] = proposals[moved]
-            cur_g[acc] = g_prop[hit]
-            cur_b[acc] = pbins[moved]
-        at = pos[rows]
-        out_points[at] = cur_p[rows]
-        out_gvals[at] = cur_g[rows]
-        out_bins[at] = cur_b[rows]
-        pos[rows] = at + 1
-        left[rows] -= 1
-        rows = rows[left[rows] > 0]
-    return out_points, out_gvals, out_bins
+class _Lockstep:
+    """A group of runs in lockstep: what they wait on this step, their chains in one slab.
+
+    Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: the
+    population its chains write, each chain's state being its last
+    output, and its level's normals in draw order, which its rounds take
+    after its cursor, chain by chain, so each run draws exactly what it
+    draws alone. A round of every run's chains is one proposal
+    expression, one ``classify``, one lookup in the flat ``(runs*J)``
+    region tables, one write and one accept.
+    """
+
+    def __init__(self, runs: int, n: int):
+        self.runs, self.n, self.cfg = runs, n, None  # the slab is made for the first chains
+        self.waiting = np.zeros(runs, dtype=bool)
+        self.queue: list[tuple] = []  # (points, runs, point counts, chains round or None)
+
+    def add(self, k: int, want) -> None:
+        """Queue run k's points, or take its chains into its rows and draw their normals."""
+        if not isinstance(want, ChainRequest):
+            self.queue.append((want, [k], [want.shape[0]], None))
+            return
+        if self.cfg is None:
+            self.cfg, self.partition, self.n_bins = want.cfg, want.partition, want.partition.n_bins
+            self.scale = math.sqrt(1.0 - want.cfg.corr**2)
+            rows, dim = self.runs * self.n, want.points.shape[1]
+            self.out_p, self.eps = np.empty((2, rows, dim))
+            self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
+            self.out_g = np.empty(rows)
+            # per chain: the slot of its next output, the steps it has still to take
+            self.out_b, self.pos, self.left = np.zeros((3, rows), np.int64)
+            self.active = np.zeros(self.runs * self.n_bins, bool)
+            self.gamma = np.empty(self.runs * self.n_bins)
+            # per run: the row of its next normal and past its last, its population size
+            self.cursor, self.stop, self.size = np.zeros((3, self.runs), np.int64)
+        elif want.partition is not self.partition or want.cfg != self.cfg:
+            raise ConfigurationError("the runs of a group must share partition and MCMC settings")
+        ends = want.counts.cumsum()
+        b, m, size = k * self.n, want.counts.size, ends[-1]
+        if size > self.n:
+            raise ConfigurationError(f"a population of {size} exceeds the {self.n} rows of a run")
+        want.stream.standard_normal(out=self.eps[b : b + size - m])
+        starts = ends - want.counts + b
+        self.out_p[starts], self.out_g[starts] = want.points, want.gvals
+        self.out_b[starts] = want.bins
+        self.pos[b : b + m] = starts + 1
+        self.left[b : b + m] = want.counts - 1
+        self.cursor[k], self.stop[k], self.size[k] = b, b + size - m, size
+        tables = slice(k * self.n_bins, (k + 1) * self.n_bins)
+        self.active[tables], self.gamma[tables] = want.region.active, want.region.gamma
+
+    def propose(self) -> list[tuple]:
+        """Queue a round of proposals of each run whose chains do not wait on g yet.
+
+        A run with no proposal in an open bin takes its round at once and
+        proposes again, as alone; returns those whose level ended so.
+        """
+        ended: list[tuple] = []
+        while self.cfg is not None:
+            rows = self.left.nonzero()[0]
+            if np.count_nonzero(self.waiting):
+                rows = rows[~self.waiting[rows // self.n]]
+            if not rows.size:
+                break
+            run, at = rows // self.n, self.pos[rows]
+            cnt = np.bincount(run, minlength=self.runs)
+            draw = (self.cursor - cnt.cumsum() + cnt)[run] + np.arange(rows.size)
+            self.cursor += cnt
+            prop = (self.cfg.corr * self.out_p.take(at - 1, axis=0)
+                    + self.scale * self.eps.take(draw, axis=0))
+            pbins = self.partition.classify(prop)
+            key = run * self.n_bins + pbins
+            ok = self.active[key].nonzero()[0]
+            stepped = cnt.nonzero()[0]
+            n_points = np.bincount(run[ok], minlength=self.runs)[stepped]
+            idle = n_points == 0  # every proposal in a closed bin: no g-call
+            candidates = (at[ok], pbins[ok], self.gamma[key[ok]])
+            if lazy := np.count_nonzero(idle):
+                mine = np.repeat(idle, cnt[stepped])  # rows are sorted by run
+                ended += self._advance(rows[mine], at[mine], stepped[idle])
+                rows, at = rows[~mine], at[~mine]
+                stepped, n_points = stepped[~idle], n_points[~idle]
+            self.waiting[stepped] = True
+            if stepped.size:
+                self.queue.append(
+                    (prop.take(ok, axis=0), stepped.tolist(), n_points.tolist(),
+                     (rows, at, *candidates, stepped))
+                )
+            if not lazy:
+                break
+        return ended
+
+    def evaluate(self, ls: LimitState, ctrs: list[EvalCounter]) -> tuple[np.ndarray, dict]:
+        """g-values of the queued points, from one g-call if it succeeds, else
+        run by run; a run whose points make g fail maps to its error (its values unset)."""
+        points = [q[0] for q in self.queue]
+        points = np.concatenate(points) if len(points) > 1 else points[0]
+        owners = [(k, size) for q in self.queue for k, size in zip(q[1], q[2])]
+        if len(owners) > 1:
+            try:
+                gv = evaluate_batch(ls, points, EvalCounter())
+                for k, size in owners:
+                    ctrs[k].add(size)
+                return gv, {}
+            except EvaluationError:
+                pass
+        gv, failed, a = np.empty(points.shape[0]), {}, 0
+        for k, size in owners:
+            try:
+                gv[a : a + size] = evaluate_batch(ls, points[a : a + size], ctrs[k])
+            except EvaluationError as exc:
+                failed[k] = exc
+            a += size
+        return gv, failed
+
+    def accept(self, gv: np.ndarray) -> list[tuple]:
+        """Hand the queued points their g-values: ``(run, values)`` for plain
+        points, ``(run, population)`` for each run whose level ended."""
+        ended, a = [], 0
+        for points, owners, _, chains in self.queue:
+            g = gv[a : a + points.shape[0]]
+            a += points.shape[0]
+            if chains is None:
+                ended.append((owners[0], g))
+                continue
+            rows, at, slots, pbins, gamma, stepped = chains
+            ended += self._advance(rows, at, stepped)
+            hit = g <= gamma
+            acc = slots[hit]
+            self.out_v[acc] = points.view(self.out_v.dtype)[hit, 0]
+            self.out_g[acc], self.out_b[acc] = g[hit], pbins[hit]
+        self.queue = []
+        self.waiting[:] = False
+        return ended
+
+    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> list[tuple]:
+        """Write each chain's state on (accepted moves overwrite it), and end finished levels."""
+        prev = at - 1
+        for out in (self.out_v, self.out_g, self.out_b):
+            out[at] = out[prev]
+        self.pos[rows] = at + 1
+        self.left[rows] -= 1
+        done = stepped[self.cursor[stepped] == self.stop[stepped]].tolist()
+        spans = [slice(k * self.n, k * self.n + self.size[k]) for k in done]
+        # a run whose level ended gets views of its rows, valid until its next request
+        return [(k, (self.out_p[s], self.out_g[s], self.out_b[s])) for k, s in zip(done, spans)]
+
+    def drop(self, k: int) -> None:
+        if self.cfg is not None:  # forget run k's chains
+            self.left[k * self.n : (k + 1) * self.n] = 0
+
+
+def run_steps(steps: list, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
+    """Drive step generators in lockstep and return what each returns.
+
+    A generator yields an ``(N, dim)`` array of points, or a
+    :class:`ChainRequest` of at most ``n`` offspring, and gets back their
+    g-values or its new population. A step makes one g-call (none without
+    points) for every run's points and every chain proposal in an open
+    bin, each run counting its own on its counter in ``ctrs``. A run whose
+    own points make g fail is closed, its entry of the list the error.
+    """
+    results: list = [None] * len(steps)
+    step = _Lockstep(len(steps), n)
+    resume: list[tuple] = [(k, None) for k in range(len(steps))]
+    while True:
+        for k, value in resume:
+            try:
+                step.add(k, steps[k].send(value))
+            except StopIteration as stop:
+                results[k] = stop.value
+        resume = step.propose()
+        if resume:
+            continue
+        if not step.queue:
+            return results
+        gv, failed = step.evaluate(ls, ctrs)
+        resume = [(k, value) for k, value in step.accept(gv) if k not in failed]
+        for k, exc in failed.items():
+            steps[k].close()
+            results[k] = exc
+            step.drop(k)
+
+
+def run_alone(steps, ls: LimitState, ctr: EvalCounter, n: int):
+    """:func:`run_steps` for one generator; an :class:`EvaluationError` is raised."""
+    out = run_steps([steps], ls, [ctr], n)[0]
+    if isinstance(out, EvaluationError):
+        raise out
+    return out
 
 
 def residual_resample(n_seeds: int, n_target: int, stream: RandomStream) -> np.ndarray:

@@ -13,7 +13,7 @@ of the wrong shape or non-finite values, surfaces as an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -91,21 +91,6 @@ def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.n
             ctr.count,
         )
     return gv
-
-
-def run_steps(steps: Generator, ls: LimitState, ctr: EvalCounter):
-    """Drive a step generator alone and return what it returns.
-
-    The generator yields the points it needs evaluated and receives
-    their g-values back (``gv = yield points``); each batch goes through
-    :func:`evaluate_batch` on ``ctr``.
-    """
-    try:
-        points = next(steps)
-        while True:
-            points = steps.send(evaluate_batch(ls, points, ctr))
-    except StopIteration as stop:
-        return stop.value
 
 
 def _piecewise_linear_g(pts: np.ndarray) -> np.ndarray:

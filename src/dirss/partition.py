@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,7 @@ class Partition:
         return self.classify_batch(pts)
 
 
+@cache  # one object per dimension: a group of SS runs shares its chain slab
 def make_single_bin(dimension: int) -> Partition:
     """The trivial partition: one bin covering the whole space."""
     if dimension < 1:

@@ -148,6 +148,22 @@ def test_config_validation_messages(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "abc", "'n' must be an integer"),
+    ("n", None, "'n' must be an integer"),
+    ("rho", "x", "'rho' must be a number"),
+    ("cuts", ["a", 1], "'cuts' must be a list of numbers"),
+])
+def test_non_numeric_config_values_are_configuration_errors(tmp_path, capsys, key, value,
+                                                             message):
+    cfg = _write_config(tmp_path / "bad.json", **{key: value})
+    for argv in (["run", "--config", str(cfg)],
+                 ["replicate", "--config", str(cfg), "--runs", "2", "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 def test_replicate_outputs(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", n=250)
     out = tmp_path / "rep"

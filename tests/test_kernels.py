@@ -10,6 +10,7 @@ from dirss import (
     AcceptRegion,
     ConfigurationError,
     EvalCounter,
+    LimitState,
     McmcConfig,
     RandomStream,
     binned_quantiles,
@@ -317,6 +318,82 @@ def test_propagate_chains_deterministic():
                             McmcConfig(0.8), RandomStream(15), ls, part, EvalCounter())
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a, b)
+
+
+def test_chains_match_truncated_normal():
+    # the kernel law through the code the estimators run: one seed, one
+    # long chain constrained to {theta <= 1}; thinned states must match the
+    # analytic truncated-normal law (as the mcmc_step test above)
+    ls = _theta_problem()
+    region = AcceptRegion.global_threshold(1.0)
+    steps = 20000
+    pts, gv, _ = propagate_chains(
+        np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=np.int64), np.array([steps + 1]),
+        region, McmcConfig(0.8), RandomStream(12), ls, make_single_bin(1), EvalCounter(),
+    )
+    assert (gv <= 1.0).all()
+    kept = pts[1000::20, 0]
+    phi_b = stats.norm.cdf(1.0)
+
+    def truncated_cdf(x):
+        return stats.norm.cdf(np.minimum(x, 1.0)) / phi_b
+
+    result = stats.kstest(kept, truncated_cdf)
+    assert result.pvalue > 0.001
+
+
+def test_chain_rejection_into_closed_bin_is_free():
+    # two halfspace bins, the positive side closed: proposals landing there
+    # are rejected without an evaluation
+    sizes = []
+
+    def g(pts):
+        sizes.append(pts.shape[0])
+        return pts[:, 0]
+
+    ls = LimitState("theta", 2, g)
+    part = make_halfspace(1, 2)
+    region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
+    ctr = EvalCounter()
+    pts, gv, bins = propagate_chains(
+        np.array([[-0.5, 0.0]]), np.array([-0.5]), np.zeros(1, dtype=np.int64),
+        np.array([1001]), region, McmcConfig(0.5), RandomStream(10), ls, part, ctr,
+    )
+    assert (bins == 0).all() and (pts[:, 0] < 0).all()  # never enters the closed bin
+    assert sum(sizes) == ctr.count and all(size == 1 for size in sizes)
+    assert 0 < ctr.count < 1000  # some proposals landed in the closed bin for free
+
+
+def test_level_without_steps_makes_no_g_call_and_no_draw():
+    def g(pts):
+        raise AssertionError("g called")
+
+    ls = LimitState("never", 1, g)
+    seeds = np.array([[0.0], [1.0], [2.0], [3.0]])
+    ctr, stream = EvalCounter(), RandomStream(5)
+    pts, gv, bins = propagate_chains(
+        seeds, seeds[:, 0], np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 1]),
+        AcceptRegion.global_threshold(10.0), McmcConfig(0.8), stream, ls,
+        make_single_bin(1), ctr,
+    )
+    np.testing.assert_array_equal(pts, seeds[[0, 2, 3]])
+    assert ctr.count == 0 and gv.dtype == float and bins.dtype == np.int64
+    # the stream did not move
+    assert stream.standard_normal(3).tobytes() == RandomStream(5).standard_normal(3).tobytes()
+
+
+def test_one_draw_of_a_level_equals_its_round_draws():
+    # the chains draw a level's normals in one call; bit for bit, that is
+    # the concatenation of the per-round draws of the same sizes
+    rng = np.random.default_rng(3)
+    for pattern in range(200):
+        dim = int(rng.integers(1, 5))
+        rounds = rng.integers(0, 60, size=int(rng.integers(1, 12)))
+        joined = np.empty((int(rounds.sum()), dim))
+        RandomStream(pattern, 7).standard_normal(out=joined)
+        stream = RandomStream(pattern, 7)
+        parts = [stream.standard_normal((int(r), dim)) for r in rounds]
+        assert np.concatenate(parts).tobytes() == joined.tobytes()
 
 
 def test_mcmc_config_validation():

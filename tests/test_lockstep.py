@@ -4,6 +4,7 @@ equals the one it gets alone, field by field and byte by byte."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,12 +13,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dirss import (
+    AcceptRegion,
+    ConfigurationError,
+    EvalCounter,
     EvaluationError,
     ExperimentConfig,
     LimitState,
+    McmcConfig,
     RandomStream,
     get_problem,
+    kernels,
     limitstate,
+    make_angular_sectors_2d,
+    make_halfspace,
     make_linear,
     make_piecewise_linear,
     register_problem,
@@ -25,7 +33,9 @@ from dirss import (
     run_single,
     run_ss,
 )
+from dirss.estimators import dss_steps
 from dirss.harness import group_size
+from dirss.kernels import propagate_steps, run_steps
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n
@@ -72,6 +82,7 @@ class _Calls:
 def _problems():
     names = {f"faulty_{m}": (lambda m=m: _faulty(m)) for m in ("nan", "raise", "shape")}
     names["linear_d10"] = lambda: make_linear(3.0, 10, "linear_d10")
+    names["linear_d6"] = lambda: make_linear(3.0, 6, "linear_d6")
     for name, make in names.items():
         register_problem(name, make)
     yield
@@ -114,6 +125,66 @@ def test_one_g_call_serves_a_group(monkeypatch):
     for i in range(cfg.runs):
         run_single(cfg, i)
     assert len(calls.sizes) < len(solo.sizes) / 2
+
+
+@pytest.mark.filterwarnings("ignore:bin with probability")
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig("piecewise_linear", "ss", 100, runs=5, seed=3),
+    ExperimentConfig("piecewise_linear", "dss", 120, partition="angular", cuts=CASE1,
+                     runs=6, seed=4),
+    ExperimentConfig("piecewise_linear", "dss", 60, partition="angular", cuts=SLIVER,
+                     max_levels=9, runs=6, seed=8),
+    # a round whose proposals all land in a closed bin: the run proposes again
+    ExperimentConfig("piecewise_linear", "dss", 80, partition="halfspace", axis=2, rho=0.5,
+                     runs=6, seed=0),
+])
+def test_a_group_makes_as_many_g_calls_as_its_longest_run(monkeypatch, cfg):
+    # each step serves the next batch of every live run, whatever step it is at
+    calls = _Calls()
+    monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
+        limitstate.get_problem(name)))
+    replicate(cfg)
+    group = len(calls.sizes)
+    solo = []
+    for i in range(cfg.runs):
+        calls.sizes.clear()
+        run_single(cfg, i)
+        solo.append(len(calls.sizes))
+    assert group == max(solo)
+
+
+def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
+    # one chain per run, half of whose proposals land in the closed bin: a
+    # run with no point for g takes its round and proposes again at once
+    calls = _Calls()
+    ls = calls.wrap(LimitState("theta", 2, lambda pts: pts[:, 0]))
+    region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
+    part = make_halfspace(1, 2)  # the runs of a group share their partition
+
+    def chains(k):
+        seed = np.array([[-0.1 * (k + 1), 0.0]])
+        return propagate_steps(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([300]),
+                               region, McmcConfig(0.5), RandomStream(10, k), part)
+
+    ctrs = [EvalCounter() for _ in range(3)]
+    group = run_steps([chains(k) for k in range(3)], ls, ctrs, 300)
+    n_group, solo = len(calls.sizes), []
+    for k in range(3):
+        calls.sizes.clear()
+        ctr = EvalCounter()
+        alone = run_steps([chains(k)], ls, [ctr], 300)[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, group[k]))
+        assert ctr.count == ctrs[k].count == sum(calls.sizes) < 299  # some rounds were free
+        solo.append(len(calls.sizes))
+    assert n_group == max(solo)
+    # a group's chains share one partition, and a run's population fits its n rows
+    with pytest.raises(ConfigurationError, match="share"):
+        run_steps([chains(0), propagate_steps(
+            np.zeros((1, 2)), np.zeros(1), np.zeros(1, dtype=np.int64), np.array([5]),
+            region, McmcConfig(0.5), RandomStream(1), make_halfspace(1, 2),
+        )], ls, ctrs[:2], 300)
+    with pytest.raises(ConfigurationError, match="exceeds the 299 rows"):
+        run_steps([chains(0)], ls, [EvalCounter()], 299)
 
 
 @pytest.mark.parametrize("n, sizes", [(6600, [6600] * 3), (3000, [6000, 3000])])
@@ -200,3 +271,103 @@ def _configs(draw):
 @given(cfg=_configs())
 def test_replicate_equals_solo_runs(cfg):
     _assert_matches_solo(cfg, replicate(cfg))
+
+
+def _digest(results) -> str:
+    """sha256 of every field of the results; floats by repr, failure points as bytes."""
+    h = hashlib.sha256()
+    for res in results:
+        fp = res.failure_points
+        rest = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        del rest["failure_points"]
+        h.update(repr((rest, fp.shape, fp.dtype.str)).encode())
+        h.update(fp.tobytes())
+    return h.hexdigest()
+
+
+# Recorded with the chain kernel that looped over each run's lockstep
+# rounds, before one slab served a group: replicate and run_single now
+# share one kernel, so only these values tie its bytes to the old one.
+# Next to the results: the number of g-calls and a digest of their sizes.
+_PINNED = [
+    (ExperimentConfig("piecewise_linear", "mcs", 3000, runs=3, seed=21),
+     "bb65301f59f58f8189f41cec41b8a50fe70fa3f1fbb0e571e6647d5bac02df5a",
+     1, "01178a62f001b64b"),
+    (ExperimentConfig("piecewise_linear", "ss", 200, runs=4, seed=22),
+     "677b3056b6a4c33273666ec8b686bbb96c74d4504a560d80e66495c805778389",
+     54, "8f4a0b6248a4f16f"),
+    (ExperimentConfig("piecewise_linear", "dss", 200, partition="angular", cuts=CASE1,
+                      runs=4, seed=23),
+     "13d8dc96ec8f7b1e7a38ee32f38e55b023c94f460dd2fc9a6bda14fd71862acb",
+     63, "6ffe446d27f6dc5e"),
+    (ExperimentConfig("piecewise_linear", "dss", 60, partition="angular", cuts=SLIVER,
+                      max_levels=9, runs=6, seed=8),
+     "4e93cb3fdcd23bf14e9357f299a9adfca6b699855dab3899aca686573d33cceb",
+     49, "9aab30c7ed3d05f0"),
+    (ExperimentConfig("linear_d6", "dss", 400, partition="orthants", runs=3, seed=24),
+     "8147dae138ed9045aa82813f27ed5df341ac61cfdaa41e5c6aaaef91a74eb5e3",
+     21, "a9dbd8d778a3a8ff"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:bin with probability")
+@pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest", _PINNED,
+                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6"])
+def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, sizes_digest):
+    calls = _Calls()
+    monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
+        limitstate.get_problem(name)))
+    results = replicate(cfg)
+    if cfg.cuts == SLIVER:
+        assert any(o.status == "starved" for r in results for o in r.bin_outcomes)
+    assert _digest(results) == digest
+    assert len(calls.sizes) == n_calls
+    assert hashlib.sha256(repr(calls.sizes).encode()).hexdigest()[:16] == sizes_digest
+
+
+def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
+    # log the g-call count at which each run brings the chains of a level
+    steps: dict[int, list[int]] = {}
+    calls = [0]
+    add, evaluate = kernels._Lockstep.add, kernels._Lockstep.evaluate
+
+    def logged_add(self, k, want):
+        if isinstance(want, kernels.ChainRequest):
+            steps.setdefault(k, []).append(calls[0])
+        add(self, k, want)
+
+    def counted_evaluate(self, ls, ctrs):
+        calls[0] += 1
+        return evaluate(self, ls, ctrs)
+
+    monkeypatch.setattr(kernels._Lockstep, "add", logged_add)
+    monkeypatch.setattr(kernels._Lockstep, "evaluate", counted_evaluate)
+    cfg = ExperimentConfig("piecewise_linear", "dss", 150, partition="angular", cuts=CASE1,
+                           runs=6, seed=9)
+    results = replicate(cfg)
+    # the first level starts at one step for all; the second at different ones
+    assert len({s[0] for s in steps.values()}) == 1
+    assert len({s[1] for s in steps.values()}) > 1
+    _assert_matches_solo(cfg, results)
+
+
+def test_finished_run_keeps_its_results_while_the_group_runs_on():
+    ls, part = make_piecewise_linear(), make_angular_sectors_2d(CASE1)
+    snapshots = {}
+
+    def snapshot(k, steps):
+        res = yield from steps
+        snapshots[k] = _fields(res)
+        return res
+
+    ctrs = [EvalCounter() for _ in range(5)]
+    gens = [
+        snapshot(k, dss_steps(ls, part, 150, 0.2, McmcConfig(), 1e-3, 50,
+                              RandomStream(4, k), ctr))
+        for k, ctr in enumerate(ctrs)
+    ]
+    results = run_steps(gens, ls, ctrs, 150)
+    assert len({r.levels for r in results}) > 1  # some runs finish while others go on
+    assert all(r.failure_points.size for r in results)
+    for k, res in enumerate(results):
+        assert _fields(res) == snapshots[k]
