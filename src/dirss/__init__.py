@@ -12,12 +12,11 @@ from .estimators import (
     BinOutcome,
     LevelRecord,
     RunResult,
-    level_snapshot,
     run_dss,
     run_mcs,
     run_ss,
 )
-from .gaussian import RandomStream, sample_standard_normal
+from .gaussian import RandomStream
 from .harness import (
     REFERENCE_PF,
     ExperimentConfig,
@@ -40,7 +39,6 @@ from .kernels import (
 from .limitstate import (
     EvalCounter,
     LimitState,
-    evaluate,
     evaluate_batch,
     get_problem,
     make_beta_points,
@@ -76,11 +74,9 @@ __all__ = [
     "ReplicationSummary",
     "RunResult",
     "binned_quantiles",
-    "evaluate",
     "evaluate_batch",
     "get_problem",
     "interp_quantile",
-    "level_snapshot",
     "make_angular_sectors_2d",
     "make_beta_points",
     "make_constant",
@@ -100,7 +96,6 @@ __all__ = [
     "run_mcs",
     "run_single",
     "run_ss",
-    "sample_standard_normal",
     "summarize",
     "validate_config",
 ]

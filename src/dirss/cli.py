@@ -13,8 +13,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,20 +36,15 @@ from .harness import (
 )
 from .limitstate import get_problem
 
-_CONFIG_KEYS = {
-    "problem": str,
-    "algorithm": str,
-    "n": int,
-    "rho": float,
-    "mcmc_corr": float,
-    "eps_tol": float,
-    "max_levels": int,
-    "partition": str,
-    "cuts": list,
-    "axis": int,
-    "runs": int,
-    "seed": int,
-}
+
+def _json_kind(annotation) -> type:
+    """What a config key takes in JSON: its field's type without None, a list for a tuple."""
+    kind = next((a for a in get_args(annotation) if a is not type(None)), annotation)
+    return list if get_origin(kind) is tuple else kind
+
+
+_HINTS = get_type_hints(ExperimentConfig)
+_CONFIG_KEYS = {f.name: _json_kind(_HINTS[f.name]) for f in fields(ExperimentConfig)}
 _REQUIRED_KEYS = ("problem", "algorithm", "n")
 
 

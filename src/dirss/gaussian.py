@@ -56,21 +56,3 @@ class RandomStream:
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
-
-def sample_standard_normal(stream: RandomStream, n: int) -> np.ndarray:
-    """Draw one point from N(0, I_n).
-
-    Parameters
-    ----------
-    stream : RandomStream
-        Source of randomness; advanced by the call.
-    n : int
-        Dimension, at least 1.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-    """
-    if n < 1:
-        raise ConfigurationError(f"dimension must be at least 1, got {n}")
-    return stream.standard_normal(n)

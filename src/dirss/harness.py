@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError
 from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run_dss here
     BinOutcome,
+    DssGroup,
     RunResult,
-    dss_steps,
     mcs_steps,
     run_dss,
     run_mcs,
@@ -154,24 +154,23 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     """Execute the runs with the given stream ids in lockstep.
 
     Each step, one g-call and one chain slab serve every run
-    (:func:`dirss.kernels.run_steps`); exactly the runs whose own points
-    make g fail end "failed". Results equal :func:`run_single`'s, run by run.
+    (:func:`dirss.kernels.run_steps`), and one threshold update every dSS
+    run whose level ends; exactly the runs whose own points make g fail
+    end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
     part = build_partition(cfg, ls.dimension) if cfg.algorithm == "dss" else None
     mcmc = McmcConfig(cfg.mcmc_corr)
     ctrs = [EvalCounter() for _ in stream_ids]
-    steps = []
-    for sid, ctr in zip(stream_ids, ctrs):
-        stream = RandomStream(cfg.seed, stream_id=sid)
-        if cfg.algorithm == "mcs":
-            steps.append(mcs_steps(ls, cfg.n, stream, ctr))
-        elif cfg.algorithm == "ss":
-            steps.append(ss_steps(ls, cfg.n, cfg.rho, mcmc, cfg.max_levels, stream, ctr))
-        else:
-            steps.append(dss_steps(
-                ls, part, cfg.n, cfg.rho, mcmc, cfg.eps_tol, cfg.max_levels, stream, ctr
-            ))
+    streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
+    if cfg.algorithm == "dss":
+        steps = DssGroup(ls, part, cfg.n, cfg.rho, mcmc, cfg.eps_tol, cfg.max_levels,
+                         streams, ctrs)
+    elif cfg.algorithm == "ss":
+        steps = [ss_steps(ls, cfg.n, cfg.rho, mcmc, cfg.max_levels, stream, ctr)
+                 for stream, ctr in zip(streams, ctrs)]
+    else:
+        steps = [mcs_steps(ls, cfg.n, stream, ctr) for stream, ctr in zip(streams, ctrs)]
 
     done = run_steps(steps, ls, ctrs, cfg.n)
     return [_failed_run(cfg, ls, part, r) if isinstance(r, EvaluationError) else r for r in done]

@@ -121,12 +121,12 @@ def propagate_chains(
     steps = propagate_steps(
         seed_points, seed_gvals, seed_bins, offspring, region, cfg, stream, partition
     )
-    return run_alone(steps, ls, ctr, int(np.sum(offspring)))
+    return run_alone([steps], ls, ctr, int(np.sum(offspring)))
 
 
 @dataclass(frozen=True)
 class ChainRequest:
-    """A level's Markov chains as a step generator yields them, to get its new
+    """A level's Markov chains as a run requests them, to get its new
     population back: the seeds with offspring ``counts`` > 0, one at least 2."""
 
     points: np.ndarray
@@ -316,41 +316,62 @@ class _Lockstep:
             self.left[k * self.n : (k + 1) * self.n] = 0
 
 
-def run_steps(steps: list, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
-    """Drive step generators in lockstep and return what each returns.
+class Generators:
+    """Step generators, one a run, as a stepper: each yields an ``(N, dim)``
+    array of points or a :class:`ChainRequest`, and returns its result."""
 
-    A generator yields an ``(N, dim)`` array of points, or a
-    :class:`ChainRequest` of at most ``n`` offspring, and gets back their
-    g-values or its new population. A step makes one g-call (none without
-    points) for every run's points and every chain proposal in an open
-    bin, each run counting its own on its counter in ``ctrs``. A run whose
-    own points make g fail is closed, its entry of the list the error.
-    """
-    results: list = [None] * len(steps)
-    step = _Lockstep(len(steps), n)
-    resume: list[tuple] = [(k, None) for k in range(len(steps))]
-    while True:
-        for k, value in resume:
+    def __init__(self, gens: list):
+        self.gens, self.results = gens, [None] * len(gens)
+
+    def send(self, ready: list[tuple]) -> list[tuple]:
+        wants = []
+        for k, value in ready:
             try:
-                step.add(k, steps[k].send(value))
+                wants.append((k, self.gens[k].send(value)))
             except StopIteration as stop:
-                results[k] = stop.value
-        resume = step.propose()
-        if resume:
+                self.results[k] = stop.value
+        return wants
+
+    def fail(self, k: int, exc: EvaluationError) -> None:
+        self.gens[k].close()
+        self.results[k] = exc
+
+
+def run_steps(steps, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
+    """Drive the ``len(ctrs)`` runs of a stepper in lockstep and return their results.
+
+    ``steps`` is a stepper or a list of step generators. Its ``send``
+    takes ``(run, value)`` pairs, ``None`` at the start, and returns
+    ``(run, request)`` pairs: an ``(N, dim)`` array of points, whose
+    g-values are the next value, or a :class:`ChainRequest` of at most
+    ``n`` offspring, whose new population is; a run that ends sets its
+    entry of ``results``. A step makes one g-call (none without points)
+    for every run's points and every chain proposal in an open bin, each
+    run counting its own on its counter in ``ctrs``. A run whose own
+    points make g fail is closed by ``fail``, its result the error.
+    """
+    if isinstance(steps, list):
+        steps = Generators(steps)
+    step = _Lockstep(len(ctrs), n)
+    ready: list[tuple] = [(k, None) for k in range(len(ctrs))]
+    while True:
+        for k, want in steps.send(ready):
+            step.add(k, want)
+        ready = step.propose()
+        if ready:
             continue
         if not step.queue:
-            return results
+            return steps.results
         gv, failed = step.evaluate(ls, ctrs)
-        resume = [(k, value) for k, value in step.accept(gv) if k not in failed]
+        ready = [(k, value) for k, value in step.accept(gv) if k not in failed]
         for k, exc in failed.items():
-            steps[k].close()
-            results[k] = exc
+            steps.fail(k, exc)
             step.drop(k)
 
 
 def run_alone(steps, ls: LimitState, ctr: EvalCounter, n: int):
-    """:func:`run_steps` for one generator; an :class:`EvaluationError` is raised."""
-    out = run_steps([steps], ls, [ctr], n)[0]
+    """:func:`run_steps` for one run; an :class:`EvaluationError` is raised."""
+    out = run_steps(steps, ls, [ctr], n)[0]
     if isinstance(out, EvaluationError):
         raise out
     return out
@@ -380,14 +401,15 @@ def residual_resample(n_seeds: int, n_target: int, stream: RandomStream) -> np.n
 _LO_HI = np.array([[-1], [0]])
 
 
-def binned_quantiles(values, bins, n_bins: int, rho: float) -> np.ndarray:
+def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.ndarray:
     """Quantile of order ``rho`` of each bin's values, by one sort of the population.
 
     Entry j equals ``interp_quantile(values[bins == j], rho)`` bit for
     bit, and is NaN for a bin with no values. The population is sorted
     once by (bin, value); per-bin offsets come from the bin counts, and
     the interpolation is done for all bins at once with the arithmetic
-    of :func:`interp_quantile`.
+    of :func:`interp_quantile`. A caller that has the bin counts,
+    ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``.
     """
     if not 0.0 < rho < 1.0:
         raise ConfigurationError(f"quantile order must lie in (0, 1), got {rho}")
@@ -399,7 +421,7 @@ def binned_quantiles(values, bins, n_bins: int, rho: float) -> np.ndarray:
         return np.full(n_bins, np.nan)
     if bins.min() < 0:
         raise ConfigurationError(f"bin index {bins.min()} is negative")
-    k = np.bincount(bins, minlength=n_bins)
+    k = np.bincount(bins, minlength=n_bins) if counts is None else counts
     if k.size != n_bins:
         raise ConfigurationError(f"bin index {k.size - 1} is out of range for {n_bins} bins")
     # value order, then a stable sort by bin, which is a radix sort for

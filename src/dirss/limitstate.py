@@ -3,11 +3,10 @@
 A limit-state function g maps a point of standard-Gaussian space to a
 scalar; failure is the event g <= 0. Evaluators are vectorized, taking
 an (N, n) array of points and returning an (N,) array of values. All
-counted evaluations go through :func:`evaluate` or
-:func:`evaluate_batch` so that the reported cost of a run equals the
-number of g-calls exactly, and so that g raising, or returning values
-of the wrong shape or non-finite values, surfaces as an
-:class:`EvaluationError` that names the problem.
+counted evaluations go through :func:`evaluate_batch` so that the
+reported cost of a run equals the number of g-calls exactly, and so
+that g raising, or returning values of the wrong shape or non-finite
+values, surfaces as an :class:`EvaluationError` that names the problem.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ class EvalCounter:
         if k < 0:
             raise ValueError("cannot decrement an evaluation counter")
         self.count += k
-
-
-def evaluate(ls: LimitState, point, ctr: EvalCounter) -> float:
-    """Evaluate g at a single point, incrementing the counter by one."""
-    pts = np.asarray(point, dtype=float)
-    if pts.shape != (ls.dimension,):
-        raise ConfigurationError(
-            f"point of shape {pts.shape} does not match problem dimension {ls.dimension}"
-        )
-    return float(evaluate_batch(ls, pts[None, :], ctr)[0])
 
 
 def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.ndarray:

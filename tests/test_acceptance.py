@@ -20,7 +20,6 @@ from dirss import (
     McmcConfig,
     RandomStream,
     interp_quantile,
-    level_snapshot,
     make_single_bin,
     mcmc_step,
     replicate,
@@ -202,7 +201,7 @@ def test_criterion_7_structural_properties():
     ls = get_problem("piecewise_linear")
     part = make_angular_sectors_2d(CASE1_CUTS)
     res = run_dss(ls, part, 300, stream=RandomStream(7001))
-    records = level_snapshot(res)
+    records = res.level_records
     ok = True
     details = []
 

@@ -15,7 +15,6 @@ from dirss import (
     RandomStream,
     evaluate_batch,
     get_problem,
-    level_snapshot,
     make_angular_sectors_2d,
     make_linear,
     make_orthants,
@@ -95,7 +94,7 @@ def test_ss_hits_max_levels_on_never_fail():
 
 def test_ss_level_records_consistent():
     res = run_ss(get_problem("piecewise_linear"), 400, stream=RandomStream(7))
-    records = level_snapshot(res)
+    records = res.level_records
     assert len(records) == res.levels
     gammas = [r.gamma[0] for r in records]
     assert all(a >= b - 1e-15 for a, b in zip(gammas, gammas[1:]))
@@ -163,7 +162,7 @@ def test_dss_invariants_on_benchmark():
             if o.status == "finished":
                 assert o.pi_hat <= CASE1.probs[o.bin] * 0.2**o.level + 1e-15
                 assert 0.0 <= o.p_final <= 1.0
-        records = level_snapshot(res)
+        records = res.level_records
         # population conservation and nested thresholds, bin by bin
         for rec in records:
             assert sum(rec.counts) == 400

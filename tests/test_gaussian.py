@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dirss import ConfigurationError, RandomStream, sample_standard_normal
+from dirss import ConfigurationError, RandomStream
 
 
 def test_same_key_is_bit_identical():
@@ -14,8 +14,8 @@ def test_same_key_is_bit_identical():
 
 
 def test_sample_standard_normal_determinism():
-    p1 = sample_standard_normal(RandomStream(5, 2), 3)
-    p2 = sample_standard_normal(RandomStream(5, 2), 3)
+    p1 = RandomStream(5, 2).standard_normal(3)
+    p2 = RandomStream(5, 2).standard_normal(3)
     np.testing.assert_array_equal(p1, p2)
     assert p1.shape == (3,)
 
@@ -59,7 +59,3 @@ def test_key_out_of_range_rejected(seed, stream_id):
     with pytest.raises(ConfigurationError):
         RandomStream(seed, stream_id)
 
-
-def test_dimension_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        sample_standard_normal(RandomStream(0), 0)

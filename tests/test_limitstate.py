@@ -9,7 +9,6 @@ from dirss import (
     EvaluationError,
     LimitState,
     RandomStream,
-    evaluate,
     evaluate_batch,
     get_problem,
     make_beta_points,
@@ -33,7 +32,7 @@ from dirss import (
 )
 def test_piecewise_linear_values(point, expected):
     ls = make_piecewise_linear()
-    got = evaluate(ls, np.array(point), EvalCounter())
+    got = evaluate_batch(ls, np.array(point)[None], EvalCounter())[0]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -49,7 +48,7 @@ def test_piecewise_linear_breakpoint_continuity():
 )
 def test_beta_points_values(point, expected):
     ls = make_beta_points()
-    assert evaluate(ls, np.array(point), EvalCounter()) == pytest.approx(expected)
+    assert evaluate_batch(ls, np.array(point)[None], EvalCounter())[0] == pytest.approx(expected)
 
 
 def test_beta_points_sign_symmetry():
@@ -65,13 +64,14 @@ def test_beta_points_sign_symmetry():
 def test_evaluator_deterministic():
     ls = make_piecewise_linear()
     p = np.array([0.3, -1.2])
-    assert evaluate(ls, p, EvalCounter()) == evaluate(ls, p, EvalCounter())
+    ctr = EvalCounter()
+    assert evaluate_batch(ls, p[None], ctr)[0] == evaluate_batch(ls, p[None], ctr)[0]
 
 
 def test_counter_tracks_every_call():
     ls = make_beta_points()
     ctr = EvalCounter()
-    evaluate(ls, np.zeros(2), ctr)
+    evaluate_batch(ls, np.zeros(2)[None], ctr)
     assert ctr.count == 1
     evaluate_batch(ls, np.zeros((7, 2)), ctr)
     assert ctr.count == 8
@@ -82,14 +82,14 @@ def test_counter_tracks_every_call():
 def test_dimension_mismatch_is_configuration_error():
     ls = make_piecewise_linear()
     with pytest.raises(ConfigurationError):
-        evaluate(ls, np.zeros(3), EvalCounter())
+        evaluate_batch(ls, np.zeros(3)[None], EvalCounter())
     with pytest.raises(ConfigurationError):
         evaluate_batch(ls, np.zeros((4, 1)), EvalCounter())
 
 
 def test_linear_problem_value():
     ls = make_linear(2.5)
-    assert evaluate(ls, np.array([1.0]), EvalCounter()) == pytest.approx(1.5)
+    assert evaluate_batch(ls, np.array([1.0])[None], EvalCounter())[0] == pytest.approx(1.5)
 
 
 def test_registry_lookup():
@@ -145,4 +145,4 @@ def test_bad_g_output_is_evaluation_error(evaluator, fault):
     assert exc.value.n_evals == 15
     assert not isinstance(exc.value, ConfigurationError)
     with pytest.raises(EvaluationError):
-        evaluate(ls, np.ones(2), EvalCounter())
+        evaluate_batch(ls, np.ones(2)[None], EvalCounter())

@@ -33,9 +33,9 @@ from dirss import (
     run_single,
     run_ss,
 )
-from dirss.estimators import dss_steps
+from dirss.estimators import DssGroup
 from dirss.harness import group_size
-from dirss.kernels import propagate_steps, run_steps
+from dirss.kernels import binned_quantiles, propagate_steps, run_steps
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n
@@ -325,6 +325,24 @@ def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, size
     assert hashlib.sha256(repr(calls.sizes).encode()).hexdigest()[:16] == sizes_digest
 
 
+def test_runs_that_end_a_level_together_share_one_threshold_update(monkeypatch):
+    updates = []
+
+    def counted(*args, **kwargs):
+        updates.append(args[1].size)
+        return binned_quantiles(*args, **kwargs)
+
+    monkeypatch.setattr("dirss.estimators.binned_quantiles", counted)
+    cfg = ExperimentConfig("piecewise_linear", "dss", 500, partition="angular", cuts=CASE1,
+                           runs=40, seed=31)
+    assert group_size(cfg, 2) >= cfg.runs
+    results = replicate(cfg)
+    run_levels = sum(r.levels for r in results)
+    assert sum(updates) == cfg.n * run_levels  # every level of every run, in fewer calls
+    assert 2 * len(updates) < run_levels
+    _assert_matches_solo(cfg, results)
+
+
 def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     # log the g-call count at which each run brings the chains of a level
     steps: dict[int, list[int]] = {}
@@ -354,19 +372,20 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
 def test_finished_run_keeps_its_results_while_the_group_runs_on():
     ls, part = make_piecewise_linear(), make_angular_sectors_2d(CASE1)
     snapshots = {}
-
-    def snapshot(k, steps):
-        res = yield from steps
-        snapshots[k] = _fields(res)
-        return res
-
     ctrs = [EvalCounter() for _ in range(5)]
-    gens = [
-        snapshot(k, dss_steps(ls, part, 150, 0.2, McmcConfig(), 1e-3, 50,
-                              RandomStream(4, k), ctr))
-        for k, ctr in enumerate(ctrs)
-    ]
-    results = run_steps(gens, ls, ctrs, 150)
+    group = DssGroup(ls, part, 150, 0.2, McmcConfig(), 1e-3, 50,
+                     [RandomStream(4, k) for k in range(5)], ctrs)
+    send = group.send
+
+    def snapshot(ready):
+        wants = send(ready)
+        for k, res in enumerate(group.results):
+            if res is not None and k not in snapshots:
+                snapshots[k] = _fields(res)
+        return wants
+
+    group.send = snapshot
+    results = run_steps(group, ls, ctrs, 150)
     assert len({r.levels for r in results}) > 1  # some runs finish while others go on
     assert all(r.failure_points.size for r in results)
     for k, res in enumerate(results):
