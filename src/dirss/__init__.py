@@ -32,7 +32,6 @@ from .kernels import (
     McmcConfig,
     binned_quantiles,
     interp_quantile,
-    mcmc_step,
     propagate_chains,
     residual_resample,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "make_orthants",
     "make_piecewise_linear",
     "make_single_bin",
-    "mcmc_step",
     "problem_names",
     "propagate_chains",
     "reference_probability",

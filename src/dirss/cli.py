@@ -174,6 +174,7 @@ def write_summary_json(
             "runs_used": summary.runs_used,
             "failed_runs": summary.failed_runs,
             "zero_runs": summary.zero_runs,
+            "max_levels_runs": summary.max_levels_runs,
             "bin_mean_pi": list(summary.bin_mean_pi),
             "pf_ref": summary.pf_ref,
         },
@@ -242,7 +243,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(
         f"mean_pf={summary.mean_pf:.4e} cov={summary.cov:.3f} "
         f"R={summary.r_metric:.3f} mean_evals={summary.mean_evals:.1f} "
-        f"used={summary.runs_used} failed={summary.failed_runs} zero={summary.zero_runs}"
+        f"used={summary.runs_used} failed={summary.failed_runs} zero={summary.zero_runs} "
+        f"max_levels={summary.max_levels_runs}"
     )
     print(f"wrote {out / 'runs.csv'}, {out / 'summary.json'}, {out / 'hist.csv'}")
     return 0

@@ -7,11 +7,11 @@ per-level diagnostics, and the exact number of g-evaluations spent.
 
 One loop (``kernels.run_steps``) advances the estimators, alone for
 ``run_mcs``, ``run_ss`` and ``run_dss`` and in groups for the replicate
-harness, whose runs share each step's g-call and chain slab. MCS and SS
-are step generators (``mcs_steps``, ``ss_steps``) that yield the points
-they need evaluated and receive their g-values back; dSS is a stepper
-for a whole group (``DssGroup``), whose runs that end a level at the
-same step share one threshold update.
+harness, whose runs share each step's g-call and chain slab. MCS is a
+step generator (``mcs_steps``) that yields the points it needs
+evaluated and receives their g-values back. SS and dSS share one level
+loop, a stepper for a whole group (``DssGroup``), whose runs that end a
+level at the same step share one threshold update.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -19,12 +19,12 @@ thresholds per bin of a conic partition so that every direction stays
 populated: the acceptance region at each level is the union of bin-wise
 sub-level sets, bins that reach the limit state are frozen and removed
 from sampling, and the run stops once the residual upper bound of the
-still-open bins is negligible next to the frozen estimate.
+still-open bins is negligible next to the frozen estimate. SS is dSS
+with a single bin.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,6 @@ from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chai
     binned_quantiles,
     interp_quantile,
     propagate_chains,
-    propagate_steps,
     residual_resample,
     run_alone,
 )
@@ -177,77 +176,24 @@ def run_ss(
 ) -> RunResult:
     """Subset simulation with adaptive intermediate thresholds.
 
-    Starting from n i.i.d. draws, each round sets the next threshold to
-    the rho-quantile of the current g-values; particles below it seed
-    the next population (residual-resampled to n and extended by Markov
-    chains constrained to the new sub-level set). Once the quantile
-    reaches zero the estimate is rho**(T-1) times the failing fraction
-    of the final population. If ``max_levels`` rounds pass first, the
-    final threshold is forced to zero and the run is flagged. Without a
-    ``stream`` the run draws from ``RandomStream(0)``.
+    SS is :func:`run_dss` with a single bin, run by the same level loop
+    (:class:`DssGroup`). Starting from n i.i.d. draws, each round sets
+    the next threshold to the rho-quantile of the current g-values;
+    particles below it seed the next population (residual-resampled to
+    n and extended by Markov chains constrained to the new sub-level
+    set). Once the quantile reaches zero the estimate is rho**(T-1)
+    times the failing fraction of the final population. Unlike dSS, the
+    threshold of level ``max_levels - 1`` is forced to zero, and the run
+    is flagged "max_levels" unless its quantile had reached zero there;
+    the last level record counts the failing points as its seeds.
+    Without a ``stream`` the run draws from ``RandomStream(0)``.
     """
     ctr = EvalCounter()
     stream = RandomStream(0) if stream is None else stream
-    return run_alone([ss_steps(ls, n, rho, mcmc, max_levels, stream, ctr)], ls, ctr, n)
-
-
-def ss_steps(
-    ls: LimitState,
-    n: int,
-    rho: float,
-    mcmc: McmcConfig | None,
-    max_levels: int,
-    stream: RandomStream,
-    ctr: EvalCounter,
-):
-    """Step generator of :func:`run_ss`; ``ctr`` as in :func:`mcs_steps`."""
-    if n < 2:
-        raise ConfigurationError("subset simulation needs at least 2 samples per level")
-    if not 0.0 < rho < 1.0:
-        raise ConfigurationError(f"level probability must lie in (0, 1), got {rho}")
-    if max_levels < 1:
-        raise ConfigurationError("max_levels must be at least 1")
-    mcmc = mcmc or McmcConfig()
-    single = make_single_bin(ls.dimension)
-
-    pts = stream.standard_normal((n, ls.dimension))
-    gv = yield pts
-    bins = np.zeros(n, dtype=np.int64)
-    records: list[LevelRecord] = []
-    gamma_prev = math.inf
-
-    for t in range(1, max_levels + 1):
-        gamma_t = min(interp_quantile(gv, rho), gamma_prev)
-        if gamma_t <= 0.0 or t == max_levels:
-            fail = gv <= 0.0
-            p_final = float(fail.mean())
-            pf = rho ** (t - 1) * p_final
-            status = "converged" if gamma_t <= 0.0 else "max_levels"
-            records.append(
-                LevelRecord(t - 1, (0.0,), (n,), int(fail.sum()), pf, 0.0)
-            )
-            outcome = BinOutcome(0, "finished", t - 1, p_final, pf, 0.0)
-            return RunResult(
-                "ss", pf, (outcome,), t, ctr.count, 0.0, status,
-                tuple(records), pts[fail],
-            )
-        seed_mask = gv <= gamma_t
-        m = int(seed_mask.sum())
-        records.append(LevelRecord(t - 1, (gamma_t,), (n,), m, 0.0, rho**t))
-        if m == 0:  # unreachable with an interpolated quantile; kept as a guard
-            outcome = BinOutcome(0, "unresolved", None, None, 0.0, rho ** (t - 1))
-            return RunResult(
-                "ss", 0.0, (outcome,), t, ctr.count, rho ** (t - 1), "failed",
-                tuple(records), np.empty((0, ls.dimension)), _EXTINCT,
-            )
-        counts = residual_resample(m, n, stream)
-        region = AcceptRegion.global_threshold(gamma_t)
-        pts, gv, bins = yield from propagate_steps(
-            pts[seed_mask], gv[seed_mask], bins[seed_mask],
-            counts, region, mcmc, stream, single,
-        )
-        gamma_prev = gamma_t
-    raise AssertionError("unreachable: loop always returns")
+    # SS has no stop tolerance: any positive eps_tol
+    group = DssGroup(ls, make_single_bin(ls.dimension), n, rho, mcmc, 1.0, max_levels,
+                     [stream], [ctr], "ss")
+    return run_alone(group, ls, ctr, n)
 
 
 def run_dss(
@@ -286,7 +232,8 @@ def run_dss(
 
 
 class DssGroup:
-    """:func:`run_dss` for a group of runs, as the stepper :func:`kernels.run_steps` drives.
+    """:func:`run_dss` for a group of runs, as the stepper :func:`kernels.run_steps` drives;
+    with ``algorithm="ss"`` and a single bin, :func:`run_ss`.
 
     Run k draws from ``streams[k]`` and reports the count of ``ctrs[k]``.
     The runs whose populations come back at one step share one level
@@ -300,9 +247,10 @@ class DssGroup:
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
                  mcmc: McmcConfig | None, eps_tol: float, max_levels: int,
-                 streams: list[RandomStream], ctrs: list[EvalCounter]):
+                 streams: list[RandomStream], ctrs: list[EvalCounter], algorithm: str = "dss"):
         if n < 2:
-            raise ConfigurationError("directional subset simulation needs at least 2 samples")
+            name = "subset simulation" if algorithm == "ss" else "directional subset simulation"
+            raise ConfigurationError(f"{name} needs at least 2 samples per level")
         if not 0.0 < rho < 1.0:
             raise ConfigurationError(f"level probability must lie in (0, 1), got {rho}")
         if eps_tol <= 0.0:
@@ -317,6 +265,7 @@ class DssGroup:
         self.ls, self.partition, self.n, self.rho = ls, partition, n, rho
         self.mcmc, self.eps_tol, self.max_levels = mcmc or McmcConfig(), eps_tol, max_levels
         self.streams, self.ctrs, self.p0 = streams, ctrs, partition.probs
+        self.algorithm = algorithm
         shape = (len(streams), partition.n_bins)
         self.gamma = np.full(shape, np.inf)
         self.active = np.ones(shape, dtype=bool)
@@ -370,6 +319,8 @@ class DssGroup:
         # threshold stays as it was
         q = binned_quantiles(gv.ravel(), key.ravel(), counts.size, rho, counts)
         gamma = np.fmin(q.reshape(active.shape), self.gamma[rows])
+        if self.algorithm == "ss":  # SS's last level forces its one threshold to 0
+            gamma[[self.t[k] == self.max_levels - 1 for k in ks]] = 0.0
         finish = filled & (gamma <= 0.0)
         closing = starve | finish
         gamma[finish] = 0.0
@@ -379,7 +330,9 @@ class DssGroup:
             self._close_bins(ks[r], starve[r], finish[r], active[r], pts[r], gv[r], bins[r],
                              counts_per_bin[r])
 
-        seed = active.ravel()[key] & (gv <= gamma.ravel()[key])
+        seed = gv <= gamma.ravel()[key]
+        if self.algorithm != "ss":  # SS's last record counts its failing points
+            seed &= active.ravel()[key]
         n_seeds = np.count_nonzero(seed, axis=1).tolist()
         gammas, level_counts = gamma.tolist(), counts_per_bin.tolist()
         any_open = active.any(axis=1).tolist()
@@ -391,6 +344,8 @@ class DssGroup:
                 LevelRecord(t, tuple(gammas[r]), tuple(level_counts[r]), m, d, u)
             )
             bound_met = d > 0.0 and u <= self.eps_tol * d
+            if self.algorithm == "ss":  # SS converges once its quantile reaches 0
+                bound_met = q[r] <= 0.0
             if not any_open[r] or bound_met:
                 status = "converged" if bound_met else "max_levels"
             elif t == self.max_levels:
@@ -453,7 +408,7 @@ class DssGroup:
         ordered = tuple(outcomes[j] for j in range(p0.size))
         pf = float(sum(o.pi_hat for o in ordered if o.status == "finished"))
         self.results[k] = RunResult(
-            algorithm="dss",
+            algorithm=self.algorithm,
             pf_hat=pf,
             bin_outcomes=ordered,
             levels=t + 1,

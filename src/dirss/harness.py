@@ -34,12 +34,11 @@ from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run
     run_dss,
     run_mcs,
     run_ss,
-    ss_steps,
 )
 from .gaussian import RandomStream
 from .kernels import McmcConfig, run_steps
 from .limitstate import EvalCounter, LimitState, get_problem
-from .partition import Partition, from_spec
+from .partition import Partition, from_spec, make_single_bin
 
 ALGORITHMS = ("mcs", "ss", "dss")
 
@@ -80,8 +79,10 @@ class ReplicationSummary:
 
     ``failed_runs`` counts runs with status "failed" and ``zero_runs``
     the other runs whose estimate is 0; neither enters the estimate
-    statistics. With no usable run (``runs_used == 0``), ``mean_pf``,
-    ``cov``, ``r_metric`` and ``bin_mean_pi`` are NaN.
+    statistics. ``max_levels_runs`` counts the runs with status
+    "max_levels", which do enter them. With no usable run
+    (``runs_used == 0``), ``mean_pf``, ``cov``, ``r_metric`` and
+    ``bin_mean_pi`` are NaN.
     """
 
     mean_pf: float
@@ -91,6 +92,7 @@ class ReplicationSummary:
     runs_used: int
     failed_runs: int
     zero_runs: int
+    max_levels_runs: int
     bin_mean_pi: tuple[float, ...]
     pf_ref: float
 
@@ -154,32 +156,28 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     """Execute the runs with the given stream ids in lockstep.
 
     Each step, one g-call and one chain slab serve every run
-    (:func:`dirss.kernels.run_steps`), and one threshold update every dSS
-    run whose level ends; exactly the runs whose own points make g fail
-    end "failed". Results equal :func:`run_single`'s, run by run.
+    (:func:`dirss.kernels.run_steps`), and one threshold update every SS
+    or dSS run whose level ends; exactly the runs whose own points make g
+    fail end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
-    part = build_partition(cfg, ls.dimension) if cfg.algorithm == "dss" else None
-    mcmc = McmcConfig(cfg.mcmc_corr)
+    part = (build_partition(cfg, ls.dimension) if cfg.algorithm == "dss"
+            else make_single_bin(ls.dimension))
     ctrs = [EvalCounter() for _ in stream_ids]
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
-    if cfg.algorithm == "dss":
-        steps = DssGroup(ls, part, cfg.n, cfg.rho, mcmc, cfg.eps_tol, cfg.max_levels,
-                         streams, ctrs)
-    elif cfg.algorithm == "ss":
-        steps = [ss_steps(ls, cfg.n, cfg.rho, mcmc, cfg.max_levels, stream, ctr)
-                 for stream, ctr in zip(streams, ctrs)]
-    else:
+    if cfg.algorithm == "mcs":
         steps = [mcs_steps(ls, cfg.n, stream, ctr) for stream, ctr in zip(streams, ctrs)]
+    else:  # SS is dSS with a single bin
+        steps = DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr), cfg.eps_tol,
+                         cfg.max_levels, streams, ctrs, cfg.algorithm)
 
     done = run_steps(steps, ls, ctrs, cfg.n)
     return [_failed_run(cfg, ls, part, r) if isinstance(r, EvaluationError) else r for r in done]
 
 
 def _failed_run(cfg, ls, part, exc: EvaluationError) -> RunResult:
-    probs = [1.0] if part is None else part.probs
     outcomes = tuple(
-        BinOutcome(j, "unresolved", None, None, 0.0, float(p)) for j, p in enumerate(probs)
+        BinOutcome(j, "unresolved", None, None, 0.0, float(p)) for j, p in enumerate(part.probs)
     )
     return RunResult(
         cfg.algorithm, 0.0, outcomes, 0, exc.n_evals, 1.0, "failed", (),
@@ -217,21 +215,25 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
 
     Runs that failed or returned a zero estimate are excluded from the
     mean, CoV and R (their logarithm is undefined) and counted in
-    ``failed_runs`` and ``zero_runs``; the evaluation cost is averaged
-    over all runs. A batch without a usable run gives ``runs_used == 0``
-    and NaN statistics: that is an outcome of the runs, not an error.
+    ``failed_runs`` and ``zero_runs``; runs that stopped at their level
+    cap are counted in ``max_levels_runs`` by their status alone, and
+    those with a positive estimate enter the statistics. The evaluation
+    cost is averaged over all runs. A batch without a usable run gives
+    ``runs_used == 0`` and NaN statistics: that is an outcome of the
+    runs, not an error.
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
     if pf_ref <= 0.0:
         raise ConfigurationError("reference probability must be positive")
     failed = sum(r.status == "failed" for r in results)
+    capped = sum(r.status == "max_levels" for r in results)
     used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]
     mean_evals = float(np.mean([r.n_evals for r in results]))
     if not used:
         nan = math.nan
         return ReplicationSummary(
-            nan, nan, nan, mean_evals, 0, failed, len(results) - failed,
+            nan, nan, nan, mean_evals, 0, failed, len(results) - failed, capped,
             (nan,) * len(results[0].bin_outcomes), pf_ref,
         )
     est = np.array([r.pf_hat for r in used])
@@ -247,6 +249,7 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
         runs_used=len(used),
         failed_runs=failed,
         zero_runs=len(results) - failed - len(used),
+        max_levels_runs=capped,
         bin_mean_pi=tuple(float(x) for x in pi.mean(axis=0)),
         pf_ref=pf_ref,
     )

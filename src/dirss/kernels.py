@@ -45,52 +45,6 @@ class AcceptRegion:
     active: np.ndarray
     gamma: np.ndarray
 
-    def admits_bin(self, j: int) -> bool:
-        return bool(self.active[j])
-
-    @classmethod
-    def everywhere(cls, n_bins: int = 1) -> "AcceptRegion":
-        return cls(np.ones(n_bins, dtype=bool), np.full(n_bins, np.inf))
-
-    @classmethod
-    def global_threshold(cls, gamma: float) -> "AcceptRegion":
-        """Single-bin region {g <= gamma}."""
-        return cls(np.ones(1, dtype=bool), np.array([float(gamma)]))
-
-
-def mcmc_step(
-    point: np.ndarray,
-    gval: float,
-    bin_index: int,
-    region: AcceptRegion,
-    cfg: McmcConfig,
-    stream: RandomStream,
-    ls: LimitState,
-    partition: Partition,
-    ctr: EvalCounter,
-):
-    """One kernel step from a state that satisfies ``region``.
-
-    A proposal landing in an inactive bin is rejected before any
-    g-evaluation (bin membership is free, so the counter does not
-    move); otherwise g is evaluated once and the proposal is accepted
-    iff it satisfies the region. On rejection the current state is
-    returned unchanged.
-
-    Returns
-    -------
-    (point, gval, bin_index, accepted)
-    """
-    eps = stream.standard_normal(point.shape[0])
-    proposal = cfg.corr * point + math.sqrt(1.0 - cfg.corr**2) * eps
-    pbin = partition.classify(proposal)
-    if not region.admits_bin(pbin):
-        return point, gval, bin_index, False
-    g_prop = float(evaluate_batch(ls, proposal[None, :], ctr)[0])
-    if g_prop <= region.gamma[pbin]:
-        return proposal, g_prop, pbin, True
-    return point, gval, bin_index, False
-
 
 def propagate_chains(
     seed_points: np.ndarray,
@@ -107,21 +61,33 @@ def propagate_chains(
     """Grow one Markov chain per seed, all chains advanced in lockstep.
 
     A seed with offspring count c contributes itself plus c - 1 kernel
-    steps; a seed with count 0 contributes nothing. The chains use the
-    same proposal and acceptance rule as :func:`mcmc_step`, so the
-    output population has exactly ``offspring.sum()`` members, every
-    one satisfying ``region``. The level's normals come from one draw of
+    steps; a seed with count 0 contributes nothing. A step proposes
+    ``corr * state + sqrt(1 - corr**2) * eps``; a proposal landing in an
+    inactive bin is rejected before any g-evaluation (bin membership is
+    free), any other is evaluated once and accepted iff it satisfies
+    ``region``; a rejected step repeats the current state. The output
+    population has exactly ``offspring.sum()`` members, every one
+    satisfying ``region``. The level's normals come from one draw of
     ``stream``; each round evaluates its proposals in open bins on ``ls``
     in one g-call, counted by ``ctr`` (the slab of :func:`run_steps`).
+    Chains that take no step return at once, without a draw or a g-call.
 
     Returns
     -------
     (points, gvals, bins) : the new population, chains stored contiguously.
     """
-    steps = propagate_steps(
-        seed_points, seed_gvals, seed_bins, offspring, region, cfg, stream, partition
-    )
-    return run_alone([steps], ls, ctr, int(np.sum(offspring)))
+    offspring = np.asarray(offspring, dtype=np.int64)
+    if offspring.shape != (seed_points.shape[0],):
+        raise ConfigurationError("offspring counts must match the number of seeds")
+    keep = offspring > 0
+    seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
+    if (counts <= 1).all():
+        return seeds
+
+    def chains():
+        return (yield ChainRequest(*seeds, counts, region, cfg, stream, partition))
+
+    return run_alone([chains()], ls, ctr, int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -137,31 +103,6 @@ class ChainRequest:
     cfg: McmcConfig
     stream: RandomStream
     partition: Partition
-
-
-def propagate_steps(
-    seed_points: np.ndarray,
-    seed_gvals: np.ndarray,
-    seed_bins: np.ndarray,
-    offspring: np.ndarray,
-    region: AcceptRegion,
-    cfg: McmcConfig,
-    stream: RandomStream,
-    partition: Partition,
-):
-    """Step generator of :func:`propagate_chains`.
-
-    Yields one :class:`ChainRequest` and returns the population it gets
-    back; a level whose kept chains take no step returns at once.
-    """
-    offspring = np.asarray(offspring, dtype=np.int64)
-    if offspring.shape != (seed_points.shape[0],):
-        raise ConfigurationError("offspring counts must match the number of seeds")
-    keep = offspring > 0
-    seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
-    if (counts <= 1).all():
-        return seeds
-    return (yield ChainRequest(*seeds, counts, region, cfg, stream, partition))
 
 
 class _Lockstep:

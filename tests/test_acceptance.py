@@ -21,7 +21,7 @@ from dirss import (
     RandomStream,
     interp_quantile,
     make_single_bin,
-    mcmc_step,
+    propagate_chains,
     replicate,
     residual_resample,
     run_dss,
@@ -254,26 +254,26 @@ def test_criterion_7_structural_properties():
 
 
 def test_criterion_8_kernel_validity():
-    # thinning makes the chain draws effectively independent, so the plain
-    # Kolmogorov-Smirnov test applies
+    # many parallel chains from 0 on the slab the estimators run; each
+    # chain's last state is one draw, so the draws are independent and the
+    # plain Kolmogorov-Smirnov test applies
     ls = LimitState("theta", 1, lambda pts: pts[:, 0])
     part = make_single_bin(1)
     cfg = McmcConfig(0.8)
+    chains, steps = 4950, 100
 
-    def chain_samples(region, seed):
-        stream = RandomStream(seed)
-        point, gval, b = np.zeros(1), 0.0, 0
-        kept = []
-        for i in range(10**5):
-            point, gval, b, _ = mcmc_step(point, gval, b, region, cfg, stream, ls, part, EvalCounter())
-            if i >= 1000 and i % 20 == 0:
-                kept.append(point[0])
-        return np.array(kept)
+    def chain_samples(gamma, seed):
+        pts, _, _ = propagate_chains(
+            np.zeros((chains, 1)), np.zeros(chains), np.zeros(chains, dtype=np.int64),
+            np.full(chains, steps + 1), AcceptRegion(np.ones(1, bool), np.array([gamma])),
+            cfg, RandomStream(seed), ls, part, EvalCounter(),
+        )
+        return pts[steps :: steps + 1, 0]
 
-    free = chain_samples(AcceptRegion.everywhere(), 8001)
+    free = chain_samples(np.inf, 8001)
     p_free = stats.kstest(free, stats.norm.cdf).pvalue
 
-    constrained = chain_samples(AcceptRegion.global_threshold(1.0), 8002)
+    constrained = chain_samples(1.0, 8002)
     phi_b = stats.norm.cdf(1.0)
     p_trunc = stats.kstest(
         constrained, lambda x: stats.norm.cdf(np.minimum(x, 1.0)) / phi_b

@@ -187,6 +187,8 @@ def test_replicate_outputs(tmp_path, capsys):
         r["status"] != "failed" and float(r["pf_hat"]) == 0 for r in rows
     )
     assert f"zero={summary['summary']['zero_runs']}" in stdout
+    assert summary["summary"]["max_levels_runs"] == sum(r["status"] == "max_levels" for r in rows)
+    assert f"max_levels={summary['summary']['max_levels_runs']}" in stdout
     assert summary["summary"]["mean_pf"] == pytest.approx(est.mean(), rel=1e-9)
     assert summary["summary"]["cov"] == pytest.approx(est.std(ddof=1) / est.mean(), rel=1e-9)
     r_expected = math.sqrt(np.mean(np.log10(est / summary["summary"]["pf_ref"]) ** 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from scipy import stats
 
 from dirss import (
+    BinOutcome,
     ConfigurationError,
     EvalCounter,
     EvaluationError,
@@ -36,6 +38,14 @@ def _counting(ls: LimitState):
         return ls.evaluator(pts)
 
     return LimitState(ls.name, ls.dimension, wrapped), calls
+
+
+def _fields(res) -> tuple:
+    """Every field of a RunResult; floats by repr (so bit for bit), points as bytes."""
+    fp = res.failure_points
+    rest = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    del rest["failure_points"]
+    return repr(rest), fp.shape, fp.dtype.str, fp.tobytes()
 
 
 # ------------------------------------------------------------------- MCS
@@ -225,16 +235,43 @@ def test_dss_starved_bin_is_written_off():
     assert res_tight.status == "max_levels"
 
 
-def test_dss_and_ss_agree_in_distribution_on_single_bin():
-    # same sampler, different bookkeeping: estimate distributions must be
-    # close; compare medians over many runs
-    ls = get_problem("piecewise_linear")
+def test_ss_equals_single_bin_dss_stream_by_stream():
+    # SS is dSS with one bin: on the same stream every field agrees, failure
+    # points as bytes, except the label and the last record's seed count,
+    # which SS gives as its failing points and dSS as 0
     single = make_single_bin(2)
-    m = 500
-    ss = [run_ss(ls, 1000, stream=RandomStream(15, i)).pf_hat for i in range(m)]
-    dss = [run_dss(ls, single, 1000, stream=RandomStream(16, i)).pf_hat for i in range(m)]
-    med_ss, med_dss = np.median(ss), np.median(dss)
-    assert abs(med_dss - med_ss) <= 0.25 * max(med_ss, med_dss)
+    for name in ("piecewise_linear", "beta_points"):
+        ls = get_problem(name)
+        for i in range(15):
+            ss = run_ss(ls, 500, stream=RandomStream(15, i))
+            dss = run_dss(ls, single, 500, stream=RandomStream(15, i))
+            assert ss.status == dss.status == "converged"  # neither at its level cap
+            assert (ss.algorithm, dss.algorithm) == ("ss", "dss")
+            *_, last = ss.level_records
+            assert last.n_seeds == len(ss.failure_points) > 0
+            assert dss.level_records[-1].n_seeds == 0
+            as_dss = dataclasses.replace(
+                ss, algorithm="dss",
+                level_records=ss.level_records[:-1] + (dataclasses.replace(last, n_seeds=0),),
+            )
+            assert _fields(as_dss) == _fields(dss), (name, i)
+
+
+def test_ss_forces_its_last_threshold_to_zero_at_the_level_cap():
+    # the quantile of the capped level is still positive: SS finishes there
+    # with its failing fraction and flags the run
+    ls = make_linear(2.0, 2)
+    res = run_ss(ls, 200, max_levels=2, stream=RandomStream(21))
+    assert (res.status, res.levels) == ("max_levels", 2)
+    assert res.level_records[0].gamma[0] > 0.0
+    assert res.pf_hat == 0.2 * 0.09
+    assert res.bin_outcomes[0] == BinOutcome(0, "finished", 1, 0.09, 0.2 * 0.09, 0.0)
+    assert (res.level_records[-1].gamma, res.level_records[-1].n_seeds) == ((0.0,), 18)
+    assert len(res.failure_points) == 18 and (ls.evaluator(res.failure_points) <= 0).all()
+
+    res = run_ss(ls, 200, max_levels=1, stream=RandomStream(21))
+    assert (res.status, res.levels, res.pf_hat) == ("max_levels", 1, 0.03)
+    assert (res.level_records[-1].gamma, res.level_records[-1].n_seeds) == ((0.0,), 6)
 
 
 def test_bad_g_stops_the_run_with_evaluation_error():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ def test_summarize_excludes_failed_and_zero_runs():
     assert s.mean_pf == pytest.approx(1e-4)
     # cost averages over every run regardless of outcome
     assert s.mean_evals == pytest.approx((100 + 50 + 30 + 20) / 4)
+
+
+def test_summarize_counts_max_levels_runs():
+    # counted by status alone; with a positive estimate they still enter
+    # the statistics
+    ref = 1e-4
+    results = [
+        _fake_result(1e-4),
+        _fake_result(3e-4, status="max_levels"),
+        _fake_result(0.0, status="max_levels"),
+        _fake_result(2e-4, status="failed"),
+    ]
+    s = summarize(results, ref)
+    assert (s.max_levels_runs, s.runs_used, s.failed_runs, s.zero_runs) == (2, 2, 1, 1)
+    assert s.mean_pf == pytest.approx(2e-4)
+    # rows read back from runs.csv carry only these fields
+    rows = [SimpleNamespace(pf_hat=r.pf_hat, n_evals=r.n_evals, status=r.status,
+                            bin_outcomes=[SimpleNamespace(pi_hat=r.pf_hat)]) for r in results]
+    assert summarize(rows, ref) == s
+    assert summarize([_fake_result(0.0, status="max_levels")], ref).max_levels_runs == 1
 
 
 def test_summarize_without_usable_runs_reports_nan():

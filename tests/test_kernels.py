@@ -17,7 +17,6 @@ from dirss import (
     interp_quantile,
     make_halfspace,
     make_single_bin,
-    mcmc_step,
     propagate_chains,
     residual_resample,
 )
@@ -164,105 +163,56 @@ def test_residual_resample_needs_seeds():
 
 def _theta_problem(dimension: int = 1):
     # g(theta) = theta_1, so regions {g <= c} truncate the first coordinate above at c
-    from dirss import LimitState
-
     return LimitState("theta", dimension, lambda pts: pts[:, 0])
 
 
+def _below(gamma: float) -> AcceptRegion:
+    """Single-bin region {g <= gamma}."""
+    return AcceptRegion(np.ones(1, bool), np.array([gamma]))
+
+
+def _chains(seeds, steps, region, corr, stream, ctr=None):
+    """``steps`` kernel steps from each seed row on the single-bin slab; the
+    states as (chains, steps + 1, dim), each chain's seed first."""
+    ls = _theta_problem(seeds.shape[1])
+    m = seeds.shape[0]
+    pts, gv, _ = propagate_chains(
+        seeds, ls.evaluator(seeds), np.zeros(m, dtype=np.int64), np.full(m, steps + 1),
+        region, McmcConfig(corr), stream, ls, make_single_bin(seeds.shape[1]),
+        EvalCounter() if ctr is None else ctr,
+    )
+    return pts.reshape(m, steps + 1, -1), gv.reshape(m, steps + 1)
+
+
 def test_step_accepts_everything_on_free_region():
-    ls = _theta_problem()
-    part = make_single_bin(1)
-    region = AcceptRegion.everywhere()
-    stream = RandomStream(8)
-    state = (np.zeros(1), 0.0, 0)
-    accepted = 0
-    for _ in range(500):
-        *state, ok = mcmc_step(*state, region, McmcConfig(0.8), stream, ls, part, EvalCounter())
-        accepted += ok
-    assert accepted == 500  # indicator acceptance on the whole space never rejects
+    ctr = EvalCounter()
+    pts, _ = _chains(np.zeros((5, 1)), 100, _below(np.inf), 0.8, RandomStream(8), ctr)
+    # indicator acceptance on the whole space never rejects: every state moves
+    assert (np.diff(pts, axis=1) != 0).all()
+    assert ctr.count == 500
 
 
 def test_step_preserves_constraint():
-    ls = _theta_problem()
-    part = make_single_bin(1)
     gamma = 1.0
-    region = AcceptRegion.global_threshold(gamma)
-    stream = RandomStream(9)
-    point, b = np.array([0.2]), 0
     ctr = EvalCounter()
-    gval = float(ls.evaluator(point[None, :])[0])
-    for _ in range(2000):
-        point, gval, b, _ = mcmc_step(point, gval, b, region, McmcConfig(0.8), stream, ls, part, ctr)
-        assert gval <= gamma
-        assert point[0] <= gamma
-    # the chain moved at least once
-    assert ctr.count > 0
-
-
-def test_inactive_bin_rejection_is_free():
-    # two halfspace bins, the positive side closed: proposals landing there
-    # are rejected without an evaluation
-    ls = _theta_problem(dimension=2)
-    part = make_halfspace(1, 2)
-    region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
-    stream = RandomStream(10)
-    point = np.array([-0.5, 0.0])
-    ctr = EvalCounter()
-    gval = float(ls.evaluator(point[None, :])[0])
-    b = part.classify(point)
-    n_evaluated = 0
-    for _ in range(1000):
-        before = ctr.count
-        point, gval, b, ok = mcmc_step(point, gval, b, region, McmcConfig(0.5), stream, ls, part, ctr)
-        assert b == 0  # never enters the closed bin
-        n_evaluated += ctr.count - before
-    assert 0 < n_evaluated < 1000  # some proposals landed in the closed bin for free
+    pts, gv = _chains(np.full((20, 1), 0.2), 100, _below(gamma), 0.8, RandomStream(9), ctr)
+    assert (gv <= gamma).all()
+    assert (pts[..., 0] <= gamma).all()
+    # the chains moved
+    assert ctr.count > 0 and (np.diff(pts, axis=1) != 0).any()
 
 
 def test_mean_squared_jump_decreases_with_corr():
-    # for the stationary unconstrained chain, E|jump|^2 = 2 n (1 - corr)
-    ls = _theta_problem(dimension=2)
-    part = make_single_bin(2)
-    region = AcceptRegion.everywhere()
+    # for the stationary unconstrained chain, E|jump|^2 = 2 n (1 - corr):
+    # 40 chains of 100 steps from stationary seeds give 4000 jumps
     msj = []
     for corr in (0.2, 0.5, 0.8):
         stream = RandomStream(11)
-        point = np.zeros(2)
-        gval = float(ls.evaluator(point[None, :])[0])
-        b = 0
-        jumps = []
-        for _ in range(4000):
-            new_point, gval, b, _ = mcmc_step(
-                point, gval, b, region, McmcConfig(corr), stream, ls, part, EvalCounter()
-            )
-            jumps.append(np.sum((new_point - point) ** 2))
-            point = new_point
-        msj.append(np.mean(jumps))
+        seeds = stream.standard_normal((40, 2))
+        pts, _ = _chains(seeds, 100, _below(np.inf), corr, stream)
+        msj.append(np.mean(np.sum(np.diff(pts, axis=1) ** 2, axis=2)))
         assert msj[-1] == pytest.approx(2.0 * 2 * (1 - corr), rel=0.1)
     assert msj[0] > msj[1] > msj[2]
-
-
-def test_constrained_chain_matches_truncated_normal():
-    # one-dimensional chain constrained to {theta <= 1}; thinned draws must
-    # match the analytic truncated-normal law
-    ls = _theta_problem()
-    part = make_single_bin(1)
-    region = AcceptRegion.global_threshold(1.0)
-    stream = RandomStream(12)
-    point, b = np.zeros(1), 0
-    gval = 0.0
-    kept = []
-    for i in range(10**5):
-        point, gval, b, _ = mcmc_step(point, gval, b, region, McmcConfig(0.8), stream, ls, part, EvalCounter())
-        if i >= 1000 and i % 20 == 0:
-            kept.append(point[0])
-    phi_b = stats.norm.cdf(1.0)
-
-    def truncated_cdf(x):
-        return stats.norm.cdf(np.minimum(x, 1.0)) / phi_b
-
-    result = stats.kstest(np.array(kept), truncated_cdf)
-    assert result.pvalue > 0.001
 
 
 # ------------------------------------------------------------- chain batch
@@ -271,7 +221,7 @@ def test_propagate_chains_population_and_region():
     ls = _theta_problem()
     part = make_single_bin(1)
     gamma = 0.5
-    region = AcceptRegion.global_threshold(gamma)
+    region = _below(gamma)
     stream = RandomStream(13)
     seeds = np.linspace(-2.0, 0.4, 12)[:, None]
     gvals = ls.evaluator(seeds)
@@ -292,7 +242,7 @@ def test_propagate_chains_population_and_region():
 def test_propagate_chains_drops_zero_count_seeds():
     ls = _theta_problem()
     part = make_single_bin(1)
-    region = AcceptRegion.global_threshold(10.0)
+    region = _below(10.0)
     seeds = np.array([[0.0], [99.0], [1.0]])  # middle seed dropped
     gvals = ls.evaluator(seeds)
     bins = np.zeros(3, dtype=np.int64)
@@ -307,7 +257,7 @@ def test_propagate_chains_drops_zero_count_seeds():
 def test_propagate_chains_deterministic():
     ls = _theta_problem()
     part = make_single_bin(1)
-    region = AcceptRegion.global_threshold(1.0)
+    region = _below(1.0)
     seeds = np.zeros((5, 1))
     gvals = ls.evaluator(seeds)
     bins = np.zeros(5, dtype=np.int64)
@@ -323,9 +273,9 @@ def test_propagate_chains_deterministic():
 def test_chains_match_truncated_normal():
     # the kernel law through the code the estimators run: one seed, one
     # long chain constrained to {theta <= 1}; thinned states must match the
-    # analytic truncated-normal law (as the mcmc_step test above)
+    # analytic truncated-normal law
     ls = _theta_problem()
-    region = AcceptRegion.global_threshold(1.0)
+    region = _below(1.0)
     steps = 20000
     pts, gv, _ = propagate_chains(
         np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=np.int64), np.array([steps + 1]),
@@ -373,7 +323,7 @@ def test_level_without_steps_makes_no_g_call_and_no_draw():
     ctr, stream = EvalCounter(), RandomStream(5)
     pts, gv, bins = propagate_chains(
         seeds, seeds[:, 0], np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 1]),
-        AcceptRegion.global_threshold(10.0), McmcConfig(0.8), stream, ls,
+        _below(10.0), McmcConfig(0.8), stream, ls,
         make_single_bin(1), ctr,
     )
     np.testing.assert_array_equal(pts, seeds[[0, 2, 3]])

@@ -35,7 +35,7 @@ from dirss import (
 )
 from dirss.estimators import DssGroup
 from dirss.harness import group_size
-from dirss.kernels import binned_quantiles, propagate_steps, run_steps
+from dirss.kernels import ChainRequest, binned_quantiles, run_steps
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n
@@ -161,10 +161,13 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
     part = make_halfspace(1, 2)  # the runs of a group share their partition
 
+    def request(seed, stream, part):
+        # one chain of 300 states from a seed; returns the population it gets back
+        return (yield ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([300]),
+                                   region, McmcConfig(0.5), stream, part))
+
     def chains(k):
-        seed = np.array([[-0.1 * (k + 1), 0.0]])
-        return propagate_steps(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([300]),
-                               region, McmcConfig(0.5), RandomStream(10, k), part)
+        return request(np.array([[-0.1 * (k + 1), 0.0]]), RandomStream(10, k), part)
 
     ctrs = [EvalCounter() for _ in range(3)]
     group = run_steps([chains(k) for k in range(3)], ls, ctrs, 300)
@@ -179,10 +182,8 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     assert n_group == max(solo)
     # a group's chains share one partition, and a run's population fits its n rows
     with pytest.raises(ConfigurationError, match="share"):
-        run_steps([chains(0), propagate_steps(
-            np.zeros((1, 2)), np.zeros(1), np.zeros(1, dtype=np.int64), np.array([5]),
-            region, McmcConfig(0.5), RandomStream(1), make_halfspace(1, 2),
-        )], ls, ctrs[:2], 300)
+        run_steps([chains(0), request(np.zeros((1, 2)), RandomStream(1), make_halfspace(1, 2))],
+                  ls, ctrs[:2], 300)
     with pytest.raises(ConfigurationError, match="exceeds the 299 rows"):
         run_steps([chains(0)], ls, [EvalCounter()], 299)
 
