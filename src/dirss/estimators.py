@@ -11,7 +11,8 @@ harness, whose runs share each step's g-call and chain slab. MCS is a
 step generator (``mcs_steps``) that yields the points it needs
 evaluated and receives their g-values back. SS and dSS share one level
 loop, a stepper for a whole group (``DssGroup``), whose runs that end a
-level at the same step share one threshold update.
+level at the same step share one threshold update and one handoff of
+their seeds to the chain slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .gaussian import RandomStream
-from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chains here
+from .kernels import (  # noqa: F401 - perfbench/spans.py patches names here
     AcceptRegion,
     ChainRequest,
     McmcConfig,
@@ -40,6 +41,7 @@ from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chai
     propagate_chains,
     residual_resample,
     run_alone,
+    stacked_residual_resample,
 )
 from .limitstate import EvalCounter, LimitState
 from .partition import Partition, make_single_bin
@@ -101,6 +103,11 @@ class RunResult:
     level_records: tuple[LevelRecord, ...]
     failure_points: np.ndarray
     reason: str = ""
+
+
+def _stacked(arrays, shape: tuple) -> np.ndarray:
+    """The runs' arrays, concatenated and reshaped; a single run's as a view."""
+    return (arrays[0] if len(arrays) == 1 else np.concatenate(arrays)).reshape(shape)
 
 
 def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
@@ -240,9 +247,13 @@ class DssGroup:
     update: one bin count and one :func:`binned_quantiles` over the key
     ``run * J + bin`` (a bin's quantile depends on its own values only,
     so each run gets its own bit for bit), one mask each to finish,
-    starve and seed bins, and one gather of the kept seeds. The
-    resampling, in each run's own stream, the level records and the rare
-    bins that finish or starve stay run by run.
+    starve and seed bins, one pass over the bins that finish or starve,
+    and one gather of the kept seeds. The runs that go on hand their seeds
+    to the chain slab as one :class:`ChainRequest`. Only each run's
+    multinomial draw of resampling, in its own stream, its level record
+    and its outcomes stay run by run. A run whose seeds fill its
+    population takes no chain step; the slab hands its seeds back at once,
+    and its next level follows in the same step.
     """
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
@@ -272,135 +283,143 @@ class DssGroup:
         self.empty_streak = np.zeros(shape, dtype=np.int64)
         # per run: its level, p0 summed over its open bins, the mass written
         # off to starvation and the frozen estimate, summed in the order bins finish
-        self.t = [0] * len(streams)
-        self.open_mass = [float(self.p0.sum())] * len(streams)
-        self.starved_mass = [0.0] * len(streams)
-        self.d = [0.0] * len(streams)
+        self.t = np.zeros(len(streams), dtype=np.int64)
+        self.open_mass = np.full(len(streams), float(self.p0.sum()))
+        self.starved_mass = np.zeros(len(streams))
+        self.d = np.zeros(len(streams))
         self.outcomes: list[dict] = [{} for _ in streams]
         self.fail_pts: list[list] = [[] for _ in streams]
         self.records: list[list] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
         self.level0: np.ndarray | None = None
+        self.rho_pow = np.ones(1)  # see _powers
+        self.bin_offsets = (np.arange(len(streams)) * partition.n_bins)[:, None]
 
     def send(self, ready: list[tuple]) -> list[tuple]:
         """Take the level-0 g-values or the new population of each ready run,
         ``None`` at the start; return the requests of the runs that go on."""
         if not ready:
             return []
+        ks = [k for k, _ in ready]
         if ready[0][1] is None:  # the start: each run draws its level-0 points
-            self.level0 = np.empty((len(self.t), self.n, self.ls.dimension))
-            for k, _ in ready:
+            self.level0 = np.empty((len(ks), self.n, self.ls.dimension))
+            for k in ks:
                 self.streams[k].standard_normal(out=self.level0[k])
-            return [(k, self.level0[k]) for k, _ in ready]
-        # the level-0 g-values of all runs come back at one step: drop the draws after it
-        level0, part, self.level0 = self.level0, self.partition, None
-        pops = [v if isinstance(v, tuple) else (level0[k], v, part.classify(level0[k]))
-                for k, v in ready]
-        stack = np.stack if len(ready) > 1 else lambda a: a[0][None]  # one run keeps views
-        return self._levels([k for k, _ in ready], *map(stack, zip(*pops)))
+            return [(k, self.level0[k]) for k in ks]
+        shape = (len(ks), self.n)
+        if self.level0 is not None:  # the level-0 g-values of all runs come back at one step
+            pts, self.level0 = self.level0[ks], None
+            bins = self.partition.classify(pts.reshape(-1, pts.shape[2])).reshape(shape)
+            return self._levels(ks, pts, _stacked([v for _, v in ready], shape), bins)
+        pts, gv, bins = zip(*(v for _, v in ready))
+        return self._levels(ks, _stacked(pts, (*shape, -1)), _stacked(gv, shape),
+                            _stacked(bins, shape))
 
     def fail(self, k: int, exc: EvaluationError) -> None:
         self.results[k] = exc
 
     def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:
-        """End a level of runs ``ks`` from their populations, stacked run by run."""
-        rho, n_bins = self.rho, self.partition.n_bins
-        rows = np.array(ks)
-        key = bins + (np.arange(len(ks)) * n_bins)[:, None]
-        counts = np.bincount(key.ravel(), minlength=len(ks) * n_bins)
-        counts_per_bin = counts.reshape(len(ks), n_bins)
+        """End a level of runs ``ks`` from their populations, stacked run by run;
+        return one request for the chains of all the runs that go on."""
+        rho, ss, rows = self.rho, self.algorithm == "ss", np.array(ks)
+        key = bins + self.bin_offsets[: rows.size]
+        counts = np.bincount(key.ravel(), minlength=rows.size * self.p0.size)
+        counts_per_bin = counts.reshape(rows.size, -1)
         active = self.active[rows]
         filled = active & (counts_per_bin > 0)
         # an empty bin stays open so global moves can repopulate it, but
         # is written off after a few empty levels
-        empty_streak = np.where(active ^ filled, self.empty_streak[rows] + 1, 0)
+        empty_streak = (self.empty_streak[rows] + 1) * (active ^ filled)
         starve = empty_streak >= _STARVE_LIMIT
         # the quantile of an empty bin is NaN, which fmin skips: its
         # threshold stays as it was
         q = binned_quantiles(gv.ravel(), key.ravel(), counts.size, rho, counts)
         gamma = np.fmin(q.reshape(active.shape), self.gamma[rows])
-        if self.algorithm == "ss":  # SS's last level forces its one threshold to 0
-            gamma[[self.t[k] == self.max_levels - 1 for k in ks]] = 0.0
+        t = self.t[rows]
+        if ss:  # SS's last level forces its one threshold to 0
+            gamma[t == self.max_levels - 1] = 0.0
         finish = filled & (gamma <= 0.0)
         closing = starve | finish
         gamma[finish] = 0.0
         active &= ~closing
         self.gamma[rows], self.active[rows], self.empty_streak[rows] = gamma, active, empty_streak
-        for r in np.flatnonzero(closing.any(axis=1)).tolist():
-            self._close_bins(ks[r], starve[r], finish[r], active[r], pts[r], gv[r], bins[r],
-                             counts_per_bin[r])
+        powers = self._powers(t.max() + 1)
+        if closing.any():
+            self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key, counts_per_bin)
 
-        seed = gv <= gamma.ravel()[key]
-        if self.algorithm != "ss":  # SS's last record counts its failing points
-            seed &= active.ravel()[key]
-        n_seeds = np.count_nonzero(seed, axis=1).tolist()
-        gammas, level_counts = gamma.tolist(), counts_per_bin.tolist()
-        any_open = active.any(axis=1).tolist()
-        going, stopped, offspring = [], [], []
-        for r, k in enumerate(ks):
-            t, d, m = self.t[k], self.d[k], n_seeds[r]
-            u = self.open_mass[k] * rho ** (t + 1) + self.starved_mass[k]
-            self.records[k].append(
-                LevelRecord(t, tuple(gammas[r]), tuple(level_counts[r]), m, d, u)
-            )
-            bound_met = d > 0.0 and u <= self.eps_tol * d
-            if self.algorithm == "ss":  # SS converges once its quantile reaches 0
-                bound_met = q[r] <= 0.0
-            if not any_open[r] or bound_met:
-                status = "converged" if bound_met else "max_levels"
-            elif t == self.max_levels:
-                status = "max_levels"
-            elif m == 0:
-                status = "failed"
-            else:
-                going.append(r)
-                offspring.append(residual_resample(m, self.n, self.streams[k]))
-                self.t[k] = t + 1
-                continue
-            self._finish(k, status)
-            stopped.append(r)
-
+        # a seed lies at or below its bin's threshold, in an open bin but for
+        # SS, whose last record counts its failing points (g-values are finite)
+        seed = gv <= (gamma if ss else np.where(active, gamma, -np.inf)).ravel()[key]
+        n_seeds = seed.sum(axis=1)
+        d = self.d[rows]
+        u = self.open_mass[rows] * powers[t + 1] + self.starved_mass[rows]
+        for k, *record in zip(ks, t.tolist(), map(tuple, gamma.tolist()),
+                              map(tuple, counts_per_bin.tolist()), n_seeds.tolist(),
+                              d.tolist(), u.tolist()):
+            self.records[k].append(LevelRecord(*record))
+        # SS converges once its quantile reaches 0
+        bound_met = q <= 0.0 if ss else (d > 0.0) & (u <= self.eps_tol * d)
+        any_open = active.any(axis=1)
+        stop = bound_met | ~any_open | (t == self.max_levels) | (n_seeds == 0)
+        for r in stop.nonzero()[0].tolist():
+            failed = not bound_met[r] and any_open[r] and t[r] < self.max_levels
+            self._finish(ks[r], "converged" if bound_met[r] else
+                         "failed" if failed else "max_levels")
+        go = (~stop).nonzero()[0]
+        if not go.size:
+            return []
+        going = rows[go]
+        self.t[going] += 1
         # the seeds, run by run, taken from the populations at once: with m <= n
         # seeds, each has an offspring, and one a second unless m == n; such a
         # run takes no chain step, and its seeds are its next population
-        seed[stopped] = False
-        at = np.flatnonzero(seed)
-        seeds = pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at)
-        ends = np.cumsum([n_seeds[r] for r in going]).tolist()
-        wants, again = [], []
-        for r, a, b, counts in zip(going, [0] + ends[:-1], ends, offspring):
-            k, run_seeds = ks[r], tuple(s[a:b] for s in seeds)
-            if b - a == self.n:
-                again.append((k, run_seeds))
-                continue
-            region = AcceptRegion(active[r], gamma[r])
-            wants.append((k, ChainRequest(
-                *run_seeds, counts, region, self.mcmc, self.streams[k], self.partition
-            )))
-        return wants + self.send(again)
+        seed[stop] = False
+        at, m = seed.ravel().nonzero()[0], n_seeds[go]
+        streams = [self.streams[k] for k in going.tolist()]
+        return [(going, ChainRequest(
+            pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at), m,
+            stacked_residual_resample(m, self.n, streams), AcceptRegion(active[go], gamma[go]),
+            streams, self.mcmc, self.partition,
+        ))]
 
-    def _close_bins(self, k, starve, finish, active, pts, gv, bins, counts) -> None:
-        """Write off run k's starved bins and freeze its finished ones, bin by bin."""
-        t, p0, rho, outcomes = self.t[k], self.p0, self.rho, self.outcomes[k]
-        for j in np.flatnonzero(starve).tolist():
-            bound = float(p0[j]) * rho ** (t + 1)
-            self.starved_mass[k] += bound
-            outcomes[j] = BinOutcome(j, "starved", None, None, 0.0, bound)
-        if finish.any():
-            fail = gv <= 0.0
-            n_fail = np.bincount(bins[fail], minlength=p0.size)
-            for j in np.flatnonzero(finish).tolist():
-                p_final = float(n_fail[j] / counts[j])
-                pi_hat = float(p0[j]) * rho**t * p_final
-                outcomes[j] = BinOutcome(j, "finished", t, p_final, pi_hat, 0.0)
-                self.d[k] += pi_hat
-            # failing points of the finished bins, bin by bin
-            idx = np.flatnonzero(finish[bins] & fail)
-            self.fail_pts[k].append(pts[idx[np.argsort(bins[idx], kind="stable")]])
-        self.open_mass[k] = float(p0[active].sum())
+    def _powers(self, top: int) -> np.ndarray:
+        """rho**i at entry i, for i up to ``top`` at least, as Python's float power gives it."""
+        if top >= self.rho_pow.size:
+            self.rho_pow = np.array([self.rho**i for i in range(2 * int(top) + 1)])
+        return self.rho_pow
+
+    def _close_bins(self, ks, t, powers, starve, finish, active, pts, gv, key, counts) -> None:
+        """Write off the starved bins and freeze the finished ones of the runs ``ks``
+        at once; each run's outcomes and sums are made bin by bin, as alone."""
+        p0 = self.p0
+        sr, sj = starve.nonzero()
+        if sr.size:
+            for r, j, b in zip(sr.tolist(), sj.tolist(), (p0[sj] * powers[t[sr] + 1]).tolist()):
+                self.starved_mass[ks[r]] += b
+                self.outcomes[ks[r]][j] = BinOutcome(j, "starved", None, None, 0.0, b)
+        fin = finish.any(axis=1).nonzero()[0]  # the runs that finish bins
+        if fin.size:
+            fail, fin_key = gv[fin] <= 0.0, key[fin]
+            n_fail = np.bincount(fin_key[fail], minlength=counts.size).reshape(counts.shape)
+            fr, fj = finish.nonzero()
+            p_final = n_fail[fr, fj] / counts[fr, fj]
+            pi_hat = p0[fj] * powers[t[fr]] * p_final
+            levels = t.tolist()
+            for r, j, pf, pi in zip(fr.tolist(), fj.tolist(), p_final.tolist(), pi_hat.tolist()):
+                self.outcomes[ks[r]][j] = BinOutcome(j, "finished", levels[r], pf, pi, 0.0)
+                self.d[ks[r]] += pi
+            # failing points of the finished bins, run by run and bin by bin
+            idx = (finish.ravel()[fin_key] & fail).ravel().nonzero()[0]
+            idx = idx[fin_key.ravel()[idx].argsort(kind="stable")]
+            got = pts[fin].reshape(-1, pts.shape[2])[idx]
+            ends = np.bincount(idx // gv.shape[1], minlength=fin.size).cumsum().tolist()
+            for i, r in enumerate(fin.tolist()):
+                self.fail_pts[ks[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
+        for r in (starve | finish).any(axis=1).nonzero()[0].tolist():
+            self.open_mass[ks[r]] = p0[active[r]].sum()
 
     def _finish(self, k: int, status: str) -> None:
-        t, p0, rho, outcomes = self.t[k], self.p0, self.rho, self.outcomes[k]
+        t, p0, rho, outcomes = int(self.t[k]), self.p0, self.rho, self.outcomes[k]
         for j in np.flatnonzero(self.active[k]):
             outcomes[j] = BinOutcome(
                 int(j), "unresolved", None, None, 0.0, float(p0[j]) * rho ** (t + 1)

@@ -69,7 +69,8 @@ def propagate_chains(
     population has exactly ``offspring.sum()`` members, every one
     satisfying ``region``. The level's normals come from one draw of
     ``stream``; each round evaluates its proposals in open bins on ``ls``
-    in one g-call, counted by ``ctr`` (the slab of :func:`run_steps`).
+    in one g-call, counted by ``ctr``: this is a :class:`ChainRequest` of
+    one run, driven by :func:`run_steps` as a group's are.
     Chains that take no step return at once, without a draw or a g-call.
 
     Returns
@@ -83,25 +84,35 @@ def propagate_chains(
     seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
     if (counts <= 1).all():
         return seeds
+    rows = AcceptRegion(region.active[None], region.gamma[None])
 
     def chains():
-        return (yield ChainRequest(*seeds, counts, region, cfg, stream, partition))
+        return (yield ChainRequest(*seeds, np.array([counts.size]), counts, rows, [stream],
+                                   cfg, partition))
 
     return run_alone([chains()], ls, ctr, int(counts.sum()))
 
 
 @dataclass(frozen=True)
 class ChainRequest:
-    """A level's Markov chains as a run requests them, to get its new
-    population back: the seeds with offspring ``counts`` > 0, one at least 2."""
+    """The Markov chains of a level of one or more runs, as a stepper requests
+    them to get each run's new population back.
+
+    The seeds are stacked run by run: run i brings the next ``n_seeds[i]``
+    (at least 1) of ``points``, ``gvals`` and ``bins``, each with its
+    offspring count (at least 1) in ``counts``, draws from ``streams[i]``
+    and accepts by row i of the ``(runs, J)`` arrays of ``region``. A run
+    whose counts are all 1 takes no chain step: its seeds are its population.
+    """
 
     points: np.ndarray
     gvals: np.ndarray
     bins: np.ndarray
+    n_seeds: np.ndarray
     counts: np.ndarray
     region: AcceptRegion
+    streams: list[RandomStream]
     cfg: McmcConfig
-    stream: RandomStream
     partition: Partition
 
 
@@ -112,21 +123,31 @@ class _Lockstep:
     population its chains write, each chain's state being its last
     output, and its level's normals in draw order, which its rounds take
     after its cursor, chain by chain, so each run draws exactly what it
-    draws alone. A round of every run's chains is one proposal
-    expression, one ``classify``, one lookup in the flat ``(runs*J)``
-    region tables, one write and one accept.
+    draws alone. The runs of a :class:`ChainRequest` enter their chains
+    with one write of each slab array; only their normal draws stay run
+    by run. A round of every run's chains is one proposal expression,
+    one ``classify``, one lookup in the flat ``(runs*J)`` threshold table,
+    one write and one accept, over the chains that have steps left.
     """
 
     def __init__(self, runs: int, n: int):
         self.runs, self.n, self.cfg = runs, n, None  # the slab is made for the first chains
         self.waiting = np.zeros(runs, dtype=bool)
         self.queue: list[tuple] = []  # (points, runs, point counts, chains round or None)
+        # the rows of the chains with steps left, in order; run k's start at k*n
+        self.live, self.bounds = np.zeros(0, np.int64), np.arange(runs + 1) * n
+        self.ended: list[tuple] = []  # runs whose chains took no step, for propose
 
-    def add(self, k: int, want) -> None:
-        """Queue run k's points, or take its chains into its rows and draw their normals."""
-        if not isinstance(want, ChainRequest):
+    def add(self, k, want) -> None:
+        """Queue run k's points, or enter the chains of the runs in the list k."""
+        if isinstance(want, ChainRequest):
+            self.enter(np.asarray(k), want)
+        else:
             self.queue.append((want, [k], [want.shape[0]], None))
-            return
+
+    def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
+        """Take the chains of runs ``ks`` into their rows, one write of each slab
+        array for all, and draw each run's normals from its own stream."""
         if self.cfg is None:
             self.cfg, self.partition, self.n_bins = want.cfg, want.partition, want.partition.n_bins
             self.scale = math.sqrt(1.0 - want.cfg.corr**2)
@@ -134,56 +155,79 @@ class _Lockstep:
             self.out_p, self.eps = np.empty((2, rows, dim))
             self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
             self.out_g = np.empty(rows)
-            # per chain: the slot of its next output, the steps it has still to take
-            self.out_b, self.pos, self.left = np.zeros((3, rows), np.int64)
-            self.active = np.zeros(self.runs * self.n_bins, bool)
+            # per chain: the slot of its first step's output and of its last output
+            self.out_b, self.start, self.last = np.zeros((3, rows), np.int64)
+            # per run and bin: the threshold of an open bin, -inf for a closed one
             self.gamma = np.empty(self.runs * self.n_bins)
-            # per run: the row of its next normal and past its last, its population size
-            self.cursor, self.stop, self.size = np.zeros((3, self.runs), np.int64)
+            # per run: the row of its next normal and past its last, its population
+            # size, the rounds its chains took this level, its first table entry
+            self.cursor, self.stop, self.size, self.rounds = np.zeros((4, self.runs), np.int64)
+            self.tables = np.arange(self.runs) * self.n_bins
         elif want.partition is not self.partition or want.cfg != self.cfg:
             raise ConfigurationError("the runs of a group must share partition and MCMC settings")
-        ends = want.counts.cumsum()
-        b, m, size = k * self.n, want.counts.size, ends[-1]
-        if size > self.n:
-            raise ConfigurationError(f"a population of {size} exceeds the {self.n} rows of a run")
-        want.stream.standard_normal(out=self.eps[b : b + size - m])
-        starts = ends - want.counts + b
-        self.out_p[starts], self.out_g[starts] = want.points, want.gvals
+        m, counts = want.n_seeds, want.counts
+        firsts = m.cumsum() - m  # each run's first seed
+        size = np.add.reduceat(counts, firsts)
+        if size.max() > self.n:
+            raise ConfigurationError(
+                f"a population of {size.max()} exceeds the {self.n} rows of a run")
+        # a seed's chain writes after the chains of its run's earlier seeds
+        base = ks * self.n
+        starts = counts.cumsum() - counts + (base - size.cumsum() + size).repeat(m)
+        points = np.ascontiguousarray(want.points, dtype=float)
+        self.out_v[starts], self.out_g[starts] = points.view(self.out_v.dtype)[:, 0], want.gvals
         self.out_b[starts] = want.bins
-        self.pos[b : b + m] = starts + 1
-        self.left[b : b + m] = want.counts - 1
-        self.cursor[k], self.stop[k], self.size[k] = b, b + size - m, size
-        tables = slice(k * self.n_bins, (k + 1) * self.n_bins)
-        self.active[tables], self.gamma[tables] = want.region.active, want.region.gamma
+        chain = np.arange(counts.size) + (base - firsts).repeat(m)
+        self.start[chain], self.last[chain] = starts + 1, starts + counts - 1
+        steps = size - m
+        self.cursor[ks], self.stop[ks], self.size[ks], self.rounds[ks] = base, base + steps, size, 0
+        region = want.region
+        self.gamma.reshape(self.runs, -1)[ks] = np.where(region.active, region.gamma, -np.inf)
+        self.live = np.concatenate((self.live, chain[counts > 1]))
+        self.live.sort(kind="stable")  # a merge of sorted runs of rows
+        for k, stream, b, s in zip(ks.tolist(), want.streams, base.tolist(), steps.tolist()):
+            if s:
+                stream.standard_normal(out=self.eps[b : b + s])
+            else:
+                self.ended.append(self._population(k))
+
+    def _population(self, k: int) -> tuple:
+        # a run whose level ended gets views of its rows, valid until its next request
+        s = slice(k * self.n, k * self.n + self.size[k])
+        return k, (self.out_p[s], self.out_g[s], self.out_b[s])
 
     def propose(self) -> list[tuple]:
         """Queue a round of proposals of each run whose chains do not wait on g yet.
 
         A run with no proposal in an open bin takes its round at once and
-        proposes again, as alone; returns those whose level ended so.
+        proposes again, as alone. Returns the runs whose level ended so, and
+        those entered since the last call whose chains took no step.
         """
-        ended: list[tuple] = []
-        while self.cfg is not None:
-            rows = self.left.nonzero()[0]
+        ended, self.ended = self.ended, []
+        while self.live.size:
+            rows = self.live
             if np.count_nonzero(self.waiting):
                 rows = rows[~self.waiting[rows // self.n]]
-            if not rows.size:
-                break
-            run, at = rows // self.n, self.pos[rows]
-            cnt = np.bincount(run, minlength=self.runs)
-            draw = (self.cursor - cnt.cumsum() + cnt)[run] + np.arange(rows.size)
+                if not rows.size:
+                    break
+            first = rows.searchsorted(self.bounds)  # each run's first row in rows
+            cnt = first[1:] - first[:-1]
+            # every chain of a run steps in each of the run's rounds
+            at = self.start[rows] + self.rounds.repeat(cnt)
+            draw = (self.cursor - first[:-1]).repeat(cnt) + np.arange(rows.size)
             self.cursor += cnt
             prop = (self.cfg.corr * self.out_p.take(at - 1, axis=0)
                     + self.scale * self.eps.take(draw, axis=0))
             pbins = self.partition.classify(prop)
-            key = run * self.n_bins + pbins
-            ok = self.active[key].nonzero()[0]
+            gamma = self.gamma[self.tables.repeat(cnt) + pbins]
+            ok = (gamma > -np.inf).nonzero()[0]
             stepped = cnt.nonzero()[0]
-            n_points = np.bincount(run[ok], minlength=self.runs)[stepped]
+            n_ok = ok.searchsorted(first)
+            n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
-            candidates = (at[ok], pbins[ok], self.gamma[key[ok]])
+            candidates = (at[ok], pbins[ok], gamma[ok])
             if lazy := np.count_nonzero(idle):
-                mine = np.repeat(idle, cnt[stepped])  # rows are sorted by run
+                mine = idle.repeat(cnt[stepped])  # rows are sorted by run
                 ended += self._advance(rows[mine], at[mine], stepped[idle])
                 rows, at = rows[~mine], at[~mine]
                 stepped, n_points = stepped[~idle], n_points[~idle]
@@ -245,21 +289,26 @@ class _Lockstep:
         prev = at - 1
         for out in (self.out_v, self.out_g, self.out_b):
             out[at] = out[prev]
-        self.pos[rows] = at + 1
-        self.left[rows] -= 1
+        self.rounds[stepped] += 1
+        gone = at == self.last[rows]
+        if np.count_nonzero(gone):  # some chains took their last step
+            if rows.size == self.live.size:  # rows are live rows: here, all of them
+                self.live = rows[~gone]
+            else:
+                keep = np.ones(self.live.size, bool)
+                keep[self.live.searchsorted(rows[gone])] = False
+                self.live = self.live[keep]
         done = stepped[self.cursor[stepped] == self.stop[stepped]].tolist()
-        spans = [slice(k * self.n, k * self.n + self.size[k]) for k in done]
-        # a run whose level ended gets views of its rows, valid until its next request
-        return [(k, (self.out_p[s], self.out_g[s], self.out_b[s])) for k, s in zip(done, spans)]
+        return [self._population(k) for k in done]
 
     def drop(self, k: int) -> None:
         if self.cfg is not None:  # forget run k's chains
-            self.left[k * self.n : (k + 1) * self.n] = 0
+            self.live = self.live[self.live // self.n != k]
 
 
 class Generators:
     """Step generators, one a run, as a stepper: each yields an ``(N, dim)``
-    array of points or a :class:`ChainRequest`, and returns its result."""
+    array of points or a :class:`ChainRequest` of its own run, and returns its result."""
 
     def __init__(self, gens: list):
         self.gens, self.results = gens, [None] * len(gens)
@@ -268,7 +317,8 @@ class Generators:
         wants = []
         for k, value in ready:
             try:
-                wants.append((k, self.gens[k].send(value)))
+                want = self.gens[k].send(value)
+                wants.append(([k] if isinstance(want, ChainRequest) else k, want))
             except StopIteration as stop:
                 self.results[k] = stop.value
         return wants
@@ -284,12 +334,15 @@ def run_steps(steps, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
     ``steps`` is a stepper or a list of step generators. Its ``send``
     takes ``(run, value)`` pairs, ``None`` at the start, and returns
     ``(run, request)`` pairs: an ``(N, dim)`` array of points, whose
-    g-values are the next value, or a :class:`ChainRequest` of at most
-    ``n`` offspring, whose new population is; a run that ends sets its
-    entry of ``results``. A step makes one g-call (none without points)
-    for every run's points and every chain proposal in an open bin, each
-    run counting its own on its counter in ``ctrs``. A run whose own
-    points make g fail is closed by ``fail``, its result the error.
+    g-values are the next value, or a :class:`ChainRequest` of the runs in
+    the list ``run``, each of at most ``n`` offspring, whose new
+    populations are; a run that ends sets its entry of ``results``. A
+    step makes one g-call (none without points) for every run's points
+    and every chain proposal in an open bin, each run counting its own on
+    its counter in ``ctrs``. A run whose chains take no step, or no step
+    that needs g, gets its population back within the step, as often as
+    it asks. A run whose own points make g fail is closed by ``fail``,
+    its result the error.
     """
     if isinstance(steps, list):
         steps = Generators(steps)
@@ -324,17 +377,31 @@ def residual_resample(n_seeds: int, n_target: int, stream: RandomStream) -> np.n
     Every seed receives floor(n_target / n_seeds) offspring
     deterministically; the remaining r = n_target - n_seeds * floor(...)
     are assigned by a multinomial draw with equal probabilities. Counts
-    always sum to ``n_target``.
+    always sum to ``n_target``. This is the one-run case of
+    :func:`stacked_residual_resample`.
     """
-    if n_seeds < 1:
+    return stacked_residual_resample([n_seeds], n_target, [stream])
+
+
+def stacked_residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarray:
+    """:func:`residual_resample` of several runs, their counts stacked run by run.
+
+    Run i's ``n_seeds[i]`` counts equal ``residual_resample(n_seeds[i],
+    n_target, streams[i])`` bit for bit, and leave that stream in the same
+    state: the deterministic shares of all runs are one array, and only
+    the multinomial draw of each run with a remainder is made run by run.
+    """
+    n_seeds = np.asarray(n_seeds, dtype=np.int64)
+    if n_seeds.min() < 1:
         raise ConfigurationError("residual resampling needs at least one seed")
     if n_target < 1:
         raise ConfigurationError("target population must be at least 1")
-    base = n_target // n_seeds
-    counts = np.full(n_seeds, base, dtype=np.int64)
-    r = n_target - base * n_seeds
-    if r > 0:
-        counts += stream.multinomial(r, np.full(n_seeds, 1.0 / n_seeds))
+    base, rest = np.divmod(n_target, n_seeds)
+    counts, end = base.repeat(n_seeds), 0
+    for m, r, stream in zip(n_seeds.tolist(), rest.tolist(), streams):
+        end += m
+        if r:
+            counts[end - m : end] += stream.multinomial(r, np.full(m, 1.0 / m))
     return counts
 
 
@@ -350,7 +417,8 @@ def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.n
     once by (bin, value); per-bin offsets come from the bin counts, and
     the interpolation is done for all bins at once with the arithmetic
     of :func:`interp_quantile`. A caller that has the bin counts,
-    ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``.
+    ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``;
+    its bins are then not checked again.
     """
     if not 0.0 < rho < 1.0:
         raise ConfigurationError(f"quantile order must lie in (0, 1), got {rho}")
@@ -360,21 +428,23 @@ def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.n
         raise ConfigurationError("values and bins must be 1-D arrays of equal length")
     if values.size == 0:
         return np.full(n_bins, np.nan)
-    if bins.min() < 0:
-        raise ConfigurationError(f"bin index {bins.min()} is negative")
-    k = np.bincount(bins, minlength=n_bins) if counts is None else counts
+    if counts is None:
+        if bins.min() < 0:
+            raise ConfigurationError(f"bin index {bins.min()} is negative")
+        counts = np.bincount(bins, minlength=n_bins)
+    k = counts
     if k.size != n_bins:
         raise ConfigurationError(f"bin index {k.size - 1} is out of range for {n_bins} bins")
     # value order, then a stable sort by bin, which is a radix sort for
     # up to 2**16 bins
     order = values.argsort()
     by_bin = bins[order].astype(np.uint16 if n_bins <= 1 << 16 else np.int64)
-    x = values[order[by_bin.argsort(kind="stable")]]
+    order = order[by_bin.argsort(kind="stable")]
     # with h = (k - 1) * rho + 1 and i = floor(h) as in interp_quantile,
-    # x_(i) of bin j sits at position end_j - k_j + i - 1 of x
+    # x_(i) of bin j is the value at position end_j - k_j + i - 1 of order
     h = (k - 1) * rho + 1.0
     i = h.astype(np.int64)  # h > 0, so truncation is floor
-    x_lo, x_hi = x.take(k.cumsum() - k + i + _LO_HI, mode="clip")
+    x_lo, x_hi = values[order.take(k.cumsum() - k + i + _LO_HI, mode="clip")]
     # i == k is the round-up guard (and covers k == 1); it also holds
     # for empty bins, whose entries are then replaced by NaN
     q = np.where(i < k, x_lo + (h - i) * (x_hi - x_lo), x_lo)

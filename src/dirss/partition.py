@@ -81,11 +81,13 @@ def make_angular_sectors_2d(cuts) -> Partition:
     widths[-1] = 2.0 * math.pi - (cuts[-1] - cuts[0])
     probs = widths / widths.sum()
 
+    # the sector of an angle with s cuts at or below it: s - 1, or the
+    # wrap-around sector for an angle below the first cut
+    sector = np.arange(cuts.size + 1) - 1
+    sector[0] = cuts.size - 1
+
     def _classify(pts: np.ndarray) -> np.ndarray:
-        ang = np.arctan2(pts[:, 1], pts[:, 0])
-        idx = np.searchsorted(cuts, ang, side="right") - 1
-        idx[idx < 0] = cuts.size - 1  # below the first cut -> wrap-around sector
-        return idx.astype(np.int64)
+        return sector.take(cuts.searchsorted(np.arctan2(pts[:, 1], pts[:, 0]), side="right"))
 
     return Partition("angular", 2, probs, _classify)
 

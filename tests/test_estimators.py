@@ -274,6 +274,16 @@ def test_ss_forces_its_last_threshold_to_zero_at_the_level_cap():
     assert (res.level_records[-1].gamma, res.level_records[-1].n_seeds) == ((0.0,), 6)
 
 
+def test_a_stalled_ss_run_returns_at_its_level_cap():
+    # ties at the quantile make every particle a seed from level 5 on: each
+    # level then ends without a chain step, and the run goes on to its
+    # level cap in a loop (it used to recurse once a level and overflow)
+    res = run_ss(get_problem("piecewise_linear"), 100, max_levels=3000,
+                 stream=RandomStream(6, 3))
+    assert (res.status, res.levels) == ("max_levels", 3000)
+    assert {r.n_seeds for r in res.level_records[5:-1]} == {100}
+
+
 def test_bad_g_stops_the_run_with_evaluation_error():
     # a column vector used to die in numpy indexing, and an all-NaN g
     # used to run on to a silent zero estimate

@@ -20,6 +20,7 @@ from dirss import (
     propagate_chains,
     residual_resample,
 )
+from dirss.kernels import stacked_residual_resample
 
 
 # ---------------------------------------------------------------- quantile
@@ -150,6 +151,35 @@ def test_residual_resample_mean_counts():
         total += residual_resample(m, n, stream)
     sigma = math.sqrt(1.0 * (1 / m) * (1 - 1 / m) / reps)
     assert np.abs(total / reps - n / m).max() < 4.0 * sigma
+
+
+def test_stacked_resample_equals_residual_resample_run_by_run():
+    # m == n, m dividing n, m == 1 and a remainder, then random (m, n)
+    rng = np.random.default_rng(8)
+    cases = [([100, 25, 1, 37, 100, 3], 100), ([1], 1), ([7, 7], 7), ([150, 60], 100)]
+    for _ in range(30):
+        n = int(rng.integers(1, 300))
+        cases.append((rng.integers(1, 2 * n + 1, size=rng.integers(1, 9)).tolist(), n))
+    for ms, n in cases:
+        streams = [RandomStream(9, i) for i in range(len(ms))]
+        counts = stacked_residual_resample(ms, n, streams)
+        ends = np.cumsum(ms)
+        for i, m in enumerate(ms):
+            alone = RandomStream(9, i)
+            expected = residual_resample(m, n, alone)
+            # the formula the resampler had before it took several runs
+            old = RandomStream(9, i)
+            base = np.full(m, n // m, dtype=np.int64)
+            if n % m:
+                base += old.multinomial(n % m, np.full(m, 1.0 / m))
+            got = counts[ends[i] - m : ends[i]]
+            assert got.dtype == expected.dtype == base.dtype
+            assert got.tobytes() == expected.tobytes() == base.tobytes()
+            # each stream is left where residual_resample leaves it
+            nxt = [s.standard_normal(4).tobytes() for s in (streams[i], alone, old)]
+            assert nxt[0] == nxt[1] == nxt[2]
+    with pytest.raises(ConfigurationError):
+        stacked_residual_resample([3, 0], 10, [RandomStream(4)] * 2)
 
 
 def test_residual_resample_needs_seeds():

@@ -28,6 +28,7 @@ from dirss import (
     make_halfspace,
     make_linear,
     make_piecewise_linear,
+    propagate_chains,
     register_problem,
     replicate,
     run_single,
@@ -158,13 +159,13 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     # run with no point for g takes its round and proposes again at once
     calls = _Calls()
     ls = calls.wrap(LimitState("theta", 2, lambda pts: pts[:, 0]))
-    region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
+    region = AcceptRegion(np.array([[True, False]]), np.array([[np.inf, np.inf]]))
     part = make_halfspace(1, 2)  # the runs of a group share their partition
 
     def request(seed, stream, part):
         # one chain of 300 states from a seed; returns the population it gets back
-        return (yield ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([300]),
-                                   region, McmcConfig(0.5), stream, part))
+        return (yield ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([1]),
+                                   np.array([300]), region, [stream], McmcConfig(0.5), part))
 
     def chains(k):
         return request(np.array([[-0.1 * (k + 1), 0.0]]), RandomStream(10, k), part)
@@ -348,18 +349,18 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     # log the g-call count at which each run brings the chains of a level
     steps: dict[int, list[int]] = {}
     calls = [0]
-    add, evaluate = kernels._Lockstep.add, kernels._Lockstep.evaluate
+    enter, evaluate = kernels._Lockstep.enter, kernels._Lockstep.evaluate
 
-    def logged_add(self, k, want):
-        if isinstance(want, kernels.ChainRequest):
+    def logged_enter(self, ks, want):
+        for k in ks.tolist():
             steps.setdefault(k, []).append(calls[0])
-        add(self, k, want)
+        enter(self, ks, want)
 
     def counted_evaluate(self, ls, ctrs):
         calls[0] += 1
         return evaluate(self, ls, ctrs)
 
-    monkeypatch.setattr(kernels._Lockstep, "add", logged_add)
+    monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
     monkeypatch.setattr(kernels._Lockstep, "evaluate", counted_evaluate)
     cfg = ExperimentConfig("piecewise_linear", "dss", 150, partition="angular", cuts=CASE1,
                            runs=6, seed=9)
@@ -367,6 +368,69 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     # the first level starts at one step for all; the second at different ones
     assert len({s[0] for s in steps.values()}) == 1
     assert len({s[1] for s in steps.values()}) > 1
+    _assert_matches_solo(cfg, results)
+
+
+class _OneRequest:
+    """A stepper whose runs bring the chains of one batched request at the start."""
+
+    def __init__(self, request: ChainRequest):
+        self.request, self.results = request, [None] * request.n_seeds.size
+
+    def send(self, ready):
+        if ready and ready[0][1] is None:
+            return [(list(range(len(self.results))), self.request)]
+        for k, population in ready:
+            self.results[k] = tuple(a.copy() for a in population)
+        return []
+
+
+def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
+    # one request at one step: run 1 brings as many seeds as its population
+    # (m == n, so no draw and no g-call), runs 0 and 2 grow chains; each
+    # gets what propagate_chains gives it alone
+    calls, part, n = _Calls(), make_angular_sectors_2d(CASE1), 30
+    ls = calls.wrap(make_piecewise_linear())
+    rng = np.random.default_rng(12)
+    seeds = [rng.standard_normal((m, 2)) for m in (7, n, 11)]
+    gvals = [make_piecewise_linear().evaluator(p) for p in seeds]
+    counts = [np.array([5, 5, 4, 4, 4, 4, 4]), np.ones(n, np.int64), np.full(11, 2)]
+    active = np.array([[True, True], [True, False], [False, True]])
+    gamma = np.array([[g.max() + 0.5] * 2 for g in gvals])
+    cfg = McmcConfig(0.7)
+    request = ChainRequest(
+        np.concatenate(seeds), np.concatenate(gvals),
+        np.concatenate([part.classify(p) for p in seeds]), np.array([7, n, 11]),
+        np.concatenate(counts), AcceptRegion(active, gamma),
+        [RandomStream(13, k) for k in range(3)], cfg, part,
+    )
+    ctrs = [EvalCounter() for _ in range(3)]
+    group = run_steps(_OneRequest(request), ls, ctrs, n)
+    n_group, solo = len(calls.sizes), []
+    for k in range(3):
+        calls.sizes.clear()
+        ctr, stream = EvalCounter(), RandomStream(13, k)
+        alone = propagate_chains(seeds[k], gvals[k], part.classify(seeds[k]), counts[k],
+                                 AcceptRegion(active[k], gamma[k]), cfg, stream, ls, part, ctr)
+        assert [a.tobytes() for a in alone] == [a.tobytes() for a in group[k]]
+        assert ctr.count == ctrs[k].count == sum(calls.sizes)
+        solo.append(len(calls.sizes))
+        # each stream is left where the run alone leaves it
+        assert stream.standard_normal(3).tobytes() == request.streams[k].standard_normal(3).tobytes()
+    assert solo[1] == ctrs[1].count == 0
+    assert group[1][0].tobytes() == seeds[1].tobytes()
+    assert n_group == max(solo) > 0
+
+
+@pytest.mark.filterwarnings("ignore:bin with probability")
+def test_a_stalled_run_matches_its_solo_run_in_a_group():
+    # run 3 stalls from level 5 on: all its particles are seeds, so each of
+    # its levels ends without a chain step, at the step where the others chain
+    cfg = ExperimentConfig("piecewise_linear", "ss", 100, max_levels=60, runs=5, seed=6)
+    results = replicate(cfg)
+    assert results[3].status == "max_levels"
+    assert {r.n_seeds for r in results[3].level_records[5:-1]} == {cfg.n}
+    assert min(r.levels for r in results) > 6  # the others still chain then
     _assert_matches_solo(cfg, results)
 
 
