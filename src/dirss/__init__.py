@@ -27,14 +27,7 @@ from .harness import (
     summarize,
     validate_config,
 )
-from .kernels import (
-    AcceptRegion,
-    McmcConfig,
-    binned_quantiles,
-    interp_quantile,
-    propagate_chains,
-    residual_resample,
-)
+from .kernels import McmcConfig
 from .limitstate import (
     EvalCounter,
     LimitState,
@@ -44,7 +37,6 @@ from .limitstate import (
     make_constant,
     make_linear,
     make_piecewise_linear,
-    problem_names,
     register_problem,
 )
 from .partition import (
@@ -58,7 +50,6 @@ from .partition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptRegion",
     "BinOutcome",
     "ConfigurationError",
     "EvalCounter",
@@ -72,10 +63,8 @@ __all__ = [
     "REFERENCE_PF",
     "ReplicationSummary",
     "RunResult",
-    "binned_quantiles",
     "evaluate_batch",
     "get_problem",
-    "interp_quantile",
     "make_angular_sectors_2d",
     "make_beta_points",
     "make_constant",
@@ -84,12 +73,9 @@ __all__ = [
     "make_orthants",
     "make_piecewise_linear",
     "make_single_bin",
-    "problem_names",
-    "propagate_chains",
     "reference_probability",
     "register_problem",
     "replicate",
-    "residual_resample",
     "run_dss",
     "run_mcs",
     "run_single",

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -45,7 +45,8 @@ def _json_kind(annotation) -> type:
 
 _HINTS = get_type_hints(ExperimentConfig)
 _CONFIG_KEYS = {f.name: _json_kind(_HINTS[f.name]) for f in fields(ExperimentConfig)}
-_REQUIRED_KEYS = ("problem", "algorithm", "n")
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+_NULLABLE_KEYS = {k for k, hint in _HINTS.items() if type(None) in get_args(hint)}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -69,7 +70,7 @@ def load_config(path: str) -> ExperimentConfig:
     kwargs = {}
     for key, value in raw.items():
         want = _CONFIG_KEYS[key]
-        if value is None and key in ("cuts", "axis"):
+        if value is None and key in _NULLABLE_KEYS:
             continue
         if want is list:
             if not isinstance(value, list) or not all(map(_is_number, value)):
@@ -91,7 +92,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is finite (JSON's NaN and Infinity literals are not)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 def _positive_int(text: str) -> int:
@@ -164,21 +168,7 @@ def write_hist_csv(path: Path, results: list[RunResult]) -> None:
 def write_summary_json(
     path: Path, cfg: ExperimentConfig, summary: ReplicationSummary
 ) -> None:
-    payload = {
-        "config": config_to_dict(cfg),
-        "summary": {
-            "mean_pf": summary.mean_pf,
-            "cov": summary.cov,
-            "r_metric": summary.r_metric,
-            "mean_evals": summary.mean_evals,
-            "runs_used": summary.runs_used,
-            "failed_runs": summary.failed_runs,
-            "zero_runs": summary.zero_runs,
-            "max_levels_runs": summary.max_levels_runs,
-            "bin_mean_pi": list(summary.bin_mean_pi),
-            "pf_ref": summary.pf_ref,
-        },
-    }
+    payload = {"config": config_to_dict(cfg), "summary": asdict(summary)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -216,11 +206,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     cfg = replace(cfg, runs=args.runs)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    results = replicate(cfg, jobs=args.jobs)
-    failed = [i for i, r in enumerate(results) if r.status == "failed"]
-    if failed:
-        print(f"{len(failed)} of {cfg.runs} runs failed; run {failed[0]}: "
-              f"{results[failed[0]].reason}", file=sys.stderr)
+    # the reference is checked before any run, so a bad one costs no g-evaluation
     pf_ref = args.pf_ref
     if pf_ref is None and cfg.problem in REFERENCE_PF:
         pf_ref = reference_probability(cfg.problem)
@@ -228,6 +214,14 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "no stored reference for this problem; pass --pf-ref to compute R"
         )
+    if not 0.0 < pf_ref < math.inf:
+        raise ConfigurationError(f"reference probability must be positive and finite, "
+                                 f"got {pf_ref}")
+    results = replicate(cfg, jobs=args.jobs)
+    failed = [i for i, r in enumerate(results) if r.status == "failed"]
+    if failed:
+        print(f"{len(failed)} of {cfg.runs} runs failed; run {failed[0]}: "
+              f"{results[failed[0]].reason}", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = summarize(results, pf_ref)

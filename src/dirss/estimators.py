@@ -49,6 +49,9 @@ from .partition import Partition, make_single_bin
 # consecutive empty levels after which an active bin is written off
 _STARVE_LIMIT = 3
 
+# points drawn and evaluated per g-call of Monte Carlo
+_MCS_CHUNK = 1_000_000
+
 _EXTINCT = "sampler went extinct before reaching the limit state"
 
 
@@ -116,24 +119,13 @@ def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
     return np.vstack(chunks)
 
 
-def run_mcs(
-    ls: LimitState,
-    n: int,
-    stream: RandomStream,
-    chunk_size: int = 1_000_000,
-) -> RunResult:
+def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0."""
     ctr = EvalCounter()
-    return run_alone([mcs_steps(ls, n, stream, ctr, chunk_size)], ls, ctr, n)
+    return run_alone([mcs_steps(ls, n, stream, ctr)], ls, ctr, n)
 
 
-def mcs_steps(
-    ls: LimitState,
-    n: int,
-    stream: RandomStream,
-    ctr: EvalCounter,
-    chunk_size: int = 1_000_000,
-):
+def mcs_steps(ls: LimitState, n: int, stream: RandomStream, ctr: EvalCounter):
     """Step generator of :func:`run_mcs`.
 
     ``ctr`` is the run's counter: whoever drives the generator counts
@@ -145,7 +137,7 @@ def mcs_steps(
     fail_pts: list[np.ndarray] = []
     done = 0
     while done < n:
-        k = min(chunk_size, n - done)
+        k = min(_MCS_CHUNK, n - done)
         pts = stream.standard_normal((k, ls.dimension))
         gv = yield pts
         mask = gv <= 0.0
@@ -264,7 +256,7 @@ class DssGroup:
             raise ConfigurationError(f"{name} needs at least 2 samples per level")
         if not 0.0 < rho < 1.0:
             raise ConfigurationError(f"level probability must lie in (0, 1), got {rho}")
-        if eps_tol <= 0.0:
+        if not eps_tol > 0.0:
             raise ConfigurationError(f"eps_tol must be positive, got {eps_tol}")
         if max_levels < 1:
             raise ConfigurationError("max_levels must be at least 1")

@@ -32,7 +32,6 @@ from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run
     RunResult,
     mcs_steps,
     run_dss,
-    run_mcs,
     run_ss,
 )
 from .gaussian import RandomStream
@@ -47,8 +46,8 @@ ALGORITHMS = ("mcs", "ss", "dss")
 _GROUP_POINTS = 2**16
 
 # Pinned reference probabilities for the built-in benchmarks, from
-# brute-force Monte Carlo with 1e8 evaluations. `reference_probability`
-# can recompute them on demand.
+# brute-force Monte Carlo with 1e8 evaluations. `dirss reference`
+# recomputes them with `run_mcs`.
 REFERENCE_PF = {
     "piecewise_linear": 3.19e-5,
     "beta_points": 1.33e-6,
@@ -117,7 +116,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if not 0.0 < cfg.rho < 1.0:
         raise ConfigurationError(f"rho must lie in (0, 1), got {cfg.rho}")
     McmcConfig(cfg.mcmc_corr)
-    if cfg.eps_tol <= 0.0:
+    if not cfg.eps_tol > 0.0:
         raise ConfigurationError(f"eps_tol must be positive, got {cfg.eps_tol}")
     if cfg.max_levels < 1:
         raise ConfigurationError("max_levels must be at least 1")
@@ -224,7 +223,7 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
-    if pf_ref <= 0.0:
+    if not pf_ref > 0.0:
         raise ConfigurationError("reference probability must be positive")
     failed = sum(r.status == "failed" for r in results)
     capped = sum(r.status == "max_levels" for r in results)
@@ -255,19 +254,8 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     )
 
 
-def reference_probability(
-    problem: str,
-    samples: int | None = None,
-    stream: RandomStream | None = None,
-) -> float:
-    """Reference failure probability of a built-in benchmark.
-
-    Returns the pinned value by default; with ``samples`` given,
-    recomputes it by brute-force Monte Carlo instead.
-    """
-    if samples is not None:
-        ls = get_problem(problem)
-        return run_mcs(ls, samples, stream or RandomStream(0)).pf_hat
+def reference_probability(problem: str) -> float:
+    """Pinned reference failure probability of a built-in benchmark (:data:`REFERENCE_PF`)."""
     try:
         return REFERENCE_PF[problem]
     except KeyError:

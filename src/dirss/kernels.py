@@ -81,9 +81,9 @@ def propagate_chains(
     if offspring.shape != (seed_points.shape[0],):
         raise ConfigurationError("offspring counts must match the number of seeds")
     keep = offspring > 0
+    if not keep.any():
+        raise ConfigurationError("at least one seed needs a positive offspring count")
     seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
-    if (counts <= 1).all():
-        return seeds
     rows = AcceptRegion(region.active[None], region.gamma[None])
 
     def chains():

@@ -144,10 +144,6 @@ def get_problem(name: str) -> LimitState:
     return factory()
 
 
-def problem_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 register_problem("piecewise_linear", make_piecewise_linear)
 register_problem("beta_points", make_beta_points)
 register_problem("always_fail", lambda: make_constant(-1.0, name="always_fail"))

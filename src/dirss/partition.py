@@ -35,12 +35,9 @@ class Partition:
     def n_bins(self) -> int:
         return len(self.probs)
 
-    def classify(self, points):
-        """Bin index of a point (int) or of each row of an (N, n) array."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return int(self.classify_batch(pts[None, :])[0])
-        return self.classify_batch(pts)
+    def classify(self, points) -> np.ndarray:
+        """Bin index of each row of an (N, n) array."""
+        return self.classify_batch(np.asarray(points, dtype=float))
 
 
 @cache  # one object per dimension: a group of SS runs shares its chain slab
@@ -71,6 +68,8 @@ def make_angular_sectors_2d(cuts) -> Partition:
     cuts = np.asarray(cuts, dtype=float)
     if cuts.size < 2:
         raise ConfigurationError("angular partition needs at least 2 cut angles")
+    if not np.isfinite(cuts).all():
+        raise ConfigurationError("cut angles must be finite")
     if np.any(np.diff(cuts) <= 0):
         raise ConfigurationError("cut angles must be strictly increasing")
     if cuts[0] <= -math.pi or cuts[-1] > math.pi:

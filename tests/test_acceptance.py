@@ -13,21 +13,18 @@ import pytest
 from scipy import stats
 
 from dirss import (
-    AcceptRegion,
     EvalCounter,
     ExperimentConfig,
     LimitState,
     McmcConfig,
     RandomStream,
-    interp_quantile,
     make_single_bin,
-    propagate_chains,
     replicate,
-    residual_resample,
     run_dss,
     summarize,
 )
 from dirss.cli import main
+from dirss.kernels import AcceptRegion, interp_quantile, propagate_chains, residual_resample
 
 CASE1_CUTS = (-math.pi + 0.8, 0.8)
 QUADRANT_CUTS = (-math.pi / 2, 0.0, math.pi / 2, math.pi)

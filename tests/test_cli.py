@@ -3,11 +3,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirss import LimitState, limitstate, register_problem
+import dirss.cli
+from dirss import LimitState, limitstate, make_piecewise_linear, register_problem
 from dirss.cli import main
 
 CASE1_CUTS = [-math.pi + 0.8, 0.8]
@@ -153,6 +155,10 @@ def test_config_validation_messages(tmp_path, capsys):
     ("n", None, "'n' must be an integer"),
     ("rho", "x", "'rho' must be a number"),
     ("cuts", ["a", 1], "'cuts' must be a list of numbers"),
+    # JSON's NaN and Infinity literals are not numbers either
+    ("cuts", [math.nan, 0.8], "'cuts' must be a list of numbers"),
+    ("eps_tol", math.nan, "'eps_tol' must be a number"),
+    ("rho", math.inf, "'rho' must be a number"),
 ])
 def test_non_numeric_config_values_are_configuration_errors(tmp_path, capsys, key, value,
                                                              message):
@@ -247,6 +253,22 @@ def test_replicate_zero_runs_is_usage_error(tmp_path):
 
 
 def test_replicate_nonbuiltin_problem_needs_reference(tmp_path, capsys):
+    # the reference is checked before any run: g sees no point
+    seen, g = [], make_piecewise_linear().evaluator
+    register_problem("pwl_copy", lambda: LimitState(
+        "pwl_copy", 2, lambda p: seen.append(len(p)) or g(p)))
+    cfg = _write_config(tmp_path / "copy.json", problem="pwl_copy")
+    out = tmp_path / "copy"
+    try:
+        for pf_ref in ([], ["--pf-ref=0"], ["--pf-ref=-1"], ["--pf-ref=nan"], ["--pf-ref=inf"]):
+            argv = ["replicate", "--config", str(cfg), "--runs", "50", "--out", str(out)]
+            assert main(argv + pf_ref) == 2
+            err = capsys.readouterr().err
+            assert ("reference probability" if pf_ref else "--pf-ref") in err
+    finally:
+        limitstate._REGISTRY.pop("pwl_copy", None)
+    assert seen == [] and not out.exists()
+
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": "always_fail", "algorithm": "mcs", "n": 50}))
     out = tmp_path / "rep"
@@ -272,3 +294,21 @@ def test_reference_accepts_scientific_notation(capsys):
 
 def test_reference_unknown_problem(capsys):
     assert main(["reference", "--problem", "nope", "--samples", "10"]) == 2
+
+
+def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
+    # perfbench/spans.py times the layers by replacing names of dirss from
+    # outside; a name it patches that is gone makes installed() raise
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from spans import Tracer
+
+    cfg = _write_config(tmp_path / "cfg.json", n=100)
+    untraced = dirss.cli.main
+    tracer = Tracer()
+    with tracer.installed():
+        assert dirss.cli.main is not untraced
+        assert dirss.cli.main(["replicate", "--config", str(cfg), "--runs", "2",
+                               "--out", str(tmp_path / "rep")]) == 0
+    assert dirss.cli.main is untraced
+    totals = tracer.totals()
+    assert totals["cli.main"][2] == 1 and totals["limitstate.g"][3] > 0

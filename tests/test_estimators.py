@@ -15,6 +15,7 @@ from dirss import (
     EvaluationError,
     LimitState,
     RandomStream,
+    estimators,
     evaluate_batch,
     get_problem,
     make_angular_sectors_2d,
@@ -58,10 +59,11 @@ def test_mcs_trivial_problems():
     assert res.levels == 1
 
 
-def test_mcs_chunking_consistent():
+def test_mcs_chunking_consistent(monkeypatch):
     ls = get_problem("piecewise_linear")
     full = run_mcs(ls, 30_000, RandomStream(2))
-    chunked = run_mcs(ls, 30_000, RandomStream(2), chunk_size=7_000)
+    monkeypatch.setattr(estimators, "_MCS_CHUNK", 7_000)
+    chunked = run_mcs(ls, 30_000, RandomStream(2))
     assert full.pf_hat == chunked.pf_hat
     assert full.n_evals == chunked.n_evals == 30_000
 
@@ -140,6 +142,8 @@ def test_ss_input_validation():
         run_ss(get_problem("always_fail"), 1, stream=RandomStream(0))
     with pytest.raises(ConfigurationError):
         run_ss(get_problem("always_fail"), 100, rho=1.5, stream=RandomStream(0))
+    with pytest.raises(ConfigurationError, match="eps_tol"):
+        run_dss(get_problem("always_fail"), make_single_bin(2), 100, eps_tol=math.nan)
 
 
 # ------------------------------------------------------------------- dSS

@@ -13,10 +13,12 @@ from dirss import (
     ExperimentConfig,
     LimitState,
     RandomStream,
+    get_problem,
     make_linear,
     register_problem,
     reference_probability,
     replicate,
+    run_mcs,
     summarize,
     validate_config,
 )
@@ -73,8 +75,9 @@ def test_config_validation_rejects_bad_values():
         validate_config(ExperimentConfig(**{**base, "rho": 0.0}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "mcmc_corr": 1.0}))
-    with pytest.raises(ConfigurationError):
-        validate_config(ExperimentConfig(**{**base, "eps_tol": 0.0}))
+    for eps_tol in (0.0, math.nan):
+        with pytest.raises(ConfigurationError):
+            validate_config(ExperimentConfig(**{**base, "eps_tol": eps_tol}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "n": 1}))
     with pytest.raises(ConfigurationError):
@@ -150,6 +153,9 @@ def test_summarize_without_usable_runs_reports_nan():
     assert s.mean_evals == 30.0
     with pytest.raises(ConfigurationError):
         summarize([], 1e-4)
+    for pf_ref in (0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="reference"):
+            summarize([_fake_result(1e-4)], pf_ref)
 
 
 def test_summarize_permutation_invariant():
@@ -183,7 +189,7 @@ def test_reference_probability_stored_values():
 
 def test_reference_probability_recompute_agrees():
     n = 10**6
-    est = reference_probability("piecewise_linear", samples=n, stream=RandomStream(77))
+    est = run_mcs(get_problem("piecewise_linear"), n, RandomStream(77)).pf_hat
     stored = reference_probability("piecewise_linear")
     sigma = math.sqrt(stored * (1 - stored) / n)
     assert abs(est - stored) < 3 * sigma

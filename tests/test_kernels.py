@@ -7,20 +7,22 @@ import pytest
 from scipy import stats
 
 from dirss import (
-    AcceptRegion,
     ConfigurationError,
     EvalCounter,
     LimitState,
     McmcConfig,
     RandomStream,
-    binned_quantiles,
-    interp_quantile,
     make_halfspace,
     make_single_bin,
+)
+from dirss.kernels import (
+    AcceptRegion,
+    binned_quantiles,
+    interp_quantile,
     propagate_chains,
     residual_resample,
+    stacked_residual_resample,
 )
-from dirss.kernels import stacked_residual_resample
 
 
 # ---------------------------------------------------------------- quantile
@@ -282,6 +284,9 @@ def test_propagate_chains_drops_zero_count_seeds():
     )
     assert pts.shape == (5, 1)
     assert not np.any(pts == 99.0)
+    with pytest.raises(ConfigurationError, match="positive offspring"):
+        propagate_chains(seeds, gvals, bins, np.zeros(3, np.int64), region,
+                         McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter())
 
 
 def test_propagate_chains_deterministic():

@@ -14,7 +14,6 @@ from dirss import (
     make_beta_points,
     make_linear,
     make_piecewise_linear,
-    problem_names,
     register_problem,
 )
 
@@ -95,7 +94,6 @@ def test_linear_problem_value():
 def test_registry_lookup():
     assert get_problem("piecewise_linear").name == "piecewise_linear"
     assert get_problem("beta_points").dimension == 2
-    assert {"piecewise_linear", "beta_points"} <= set(problem_names())
 
 
 def test_registry_unknown_name():

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dirss import (
-    AcceptRegion,
     ConfigurationError,
     EvalCounter,
     EvaluationError,
@@ -28,7 +27,6 @@ from dirss import (
     make_halfspace,
     make_linear,
     make_piecewise_linear,
-    propagate_chains,
     register_problem,
     replicate,
     run_single,
@@ -36,7 +34,13 @@ from dirss import (
 )
 from dirss.estimators import DssGroup
 from dirss.harness import group_size
-from dirss.kernels import ChainRequest, binned_quantiles, run_steps
+from dirss.kernels import (
+    AcceptRegion,
+    ChainRequest,
+    binned_quantiles,
+    propagate_chains,
+    run_steps,
+)
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n

@@ -35,7 +35,7 @@ def builtin_partitions():
 def test_single_bin():
     part = make_single_bin(2)
     assert part.n_bins == 1
-    assert part.classify(np.array([3.0, -2.0])) == 0
+    assert part.classify(np.array([[3.0, -2.0]])).tolist() == [0]
     np.testing.assert_allclose(part.probs, [1.0])
 
 
@@ -43,8 +43,7 @@ def test_angular_two_equal_sectors():
     part = make_angular_sectors_2d(CASE1_CUTS)
     np.testing.assert_allclose(part.probs, [0.5, 0.5], atol=1e-15)
     # dominant direction (angle 0) in the first sector, secondary (pi/2) in the wrap
-    assert part.classify(np.array([4.0, 0.0])) == 0
-    assert part.classify(np.array([0.0, 5.0])) == 1
+    assert part.classify(np.array([[4.0, 0.0], [0.0, 5.0]])).tolist() == [0, 1]
 
 
 def test_angular_quadrants_and_eighths():
@@ -60,9 +59,8 @@ def test_angular_quadrants_and_eighths():
 def test_angular_boundary_goes_to_left_closed_sector():
     part = make_angular_sectors_2d(QUADRANT_CUTS)
     # angle exactly on a cut belongs to the sector starting there
-    on_cut = part.classify(np.array([0.0, 3.0]))  # angle pi/2
-    inside = part.classify(np.array([-0.1, 3.0]))  # just past the cut
-    before = part.classify(np.array([0.1, 3.0]))  # just before the cut
+    # angle pi/2, just past the cut, just before the cut
+    on_cut, inside, before = part.classify(np.array([[0.0, 3.0], [-0.1, 3.0], [0.1, 3.0]]))
     assert on_cut == inside
     assert on_cut != before
 
@@ -76,15 +74,17 @@ def test_angular_validation():
         make_angular_sectors_2d([-4.0, 0.0])
     with pytest.raises(ConfigurationError):
         make_angular_sectors_2d([0.0, 3.5])
+    for cuts in ([math.nan, 0.8], [-1.0, math.nan, 0.8], [-math.inf, 0.8]):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_angular_sectors_2d(cuts)
 
 
 def test_halfspace_classification():
     part = make_halfspace(2, 2)
-    assert part.classify(np.array([5.0, -1.0])) == 0
+    assert part.classify(np.array([[5.0, -1.0]])).tolist() == [0]
     part1 = make_halfspace(1, 2)
-    assert part1.classify(np.array([-0.1, 9.0])) == 0
     # boundary goes to the >= side
-    assert part1.classify(np.array([0.0, 0.0])) == 1
+    assert part1.classify(np.array([[-0.1, 9.0], [0.0, 0.0]])).tolist() == [0, 1]
     with pytest.raises(ConfigurationError):
         make_halfspace(3, 2)
     with pytest.raises(ConfigurationError):
@@ -94,8 +94,8 @@ def test_halfspace_classification():
 def test_orthants():
     part = make_orthants(2)
     np.testing.assert_allclose(part.probs, [0.25] * 4)
-    plus_plus = part.classify(np.array([1.0, 1.0]))
-    assert plus_plus == part.classify(np.array([2.0, 0.5]))
+    plus_plus, also = part.classify(np.array([[1.0, 1.0], [2.0, 0.5]]))
+    assert plus_plus == also
     assert make_orthants(3).n_bins == 8
     with pytest.raises(ConfigurationError):
         make_orthants(31)
