@@ -157,10 +157,10 @@ def write_hist_csv(path: Path, results: list[RunResult]) -> None:
         writer.writerow(["log10_lo", "log10_hi", "count"])
         if logs.size == 0:
             return
-        lo = math.floor(logs.min() / 0.1) * 0.1
-        hi = math.floor(logs.max() / 0.1) * 0.1 + 0.1
-        edges = np.round(np.arange(lo, hi + 0.05, 0.1), 10)
-        counts, _ = np.histogram(logs, bins=edges)
+        # one bin index per estimate, so that no estimate falls between edges
+        idx = np.floor(logs / 0.1).astype(np.int64)
+        counts = np.bincount(idx - idx.min())
+        edges = np.round(np.arange(idx.min(), idx.max() + 2) * 0.1, 10)
         for left, right, count in zip(edges[:-1], edges[1:], counts):
             writer.writerow([left, right, int(count)])
 

@@ -42,8 +42,12 @@ from .partition import Partition, from_spec, make_single_bin
 ALGORITHMS = ("mcs", "ss", "dss")
 
 # Runs of a group share g-calls; a group holds max(1, _GROUP_POINTS // (n * dim))
-# runs, so that joined populations stay small next to one large run's.
-_GROUP_POINTS = 2**16
+# runs. Chosen by a sweep of 2**16 ... 2**20 over dSS and SS batches (n=500 to
+# 4000, cheap g): 2**18 was fastest, or within noise of 2**19, on each, and
+# 2**19 peaked about 10 MB higher; at 2**20 both 1000 cheap runs and groups of
+# large runs (n*dim=200000) were slower. A slab array of 2**18 float64 is 2 MiB,
+# one core's L2 cache on the 2-core Xeon it was measured on.
+_GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from
 # brute-force Monte Carlo with 1e8 evaluations. `dirss reference`
@@ -135,7 +139,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def group_size(cfg: ExperimentConfig, dimension: int) -> int:
-    """Runs advanced together in one group: ``max(1, 2**16 // (n * dim))``."""
+    """Runs advanced together in one group: ``max(1, _GROUP_POINTS // (n * dim))``."""
     return max(1, _GROUP_POINTS // (cfg.n * dimension))
 
 

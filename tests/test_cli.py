@@ -10,7 +10,8 @@ import pytest
 
 import dirss.cli
 from dirss import LimitState, limitstate, make_piecewise_linear, register_problem
-from dirss.cli import main
+from dirss.cli import main, write_hist_csv
+from dirss.estimators import BinOutcome, RunResult
 
 CASE1_CUTS = [-math.pi + 0.8, 0.8]
 
@@ -208,6 +209,33 @@ def test_replicate_outputs(tmp_path, capsys):
     assert sum(int(r["count"]) for r in hist_rows) == summary["summary"]["runs_used"]
     widths = [float(r["log10_hi"]) - float(r["log10_lo"]) for r in hist_rows]
     assert all(w == pytest.approx(0.1, abs=1e-9) for w in widths)
+
+
+def test_hist_counts_estimates_at_bin_edges(tmp_path):
+    # one estimate for each log10 within 40 ulps of 10**(k/10), k = -100..-1: log10
+    # lands on or beside a 0.1 edge, where a bin index and a float edge can disagree
+    by_log = {}
+    for k in range(-100, 0):
+        p = 10.0 ** (k / 10)
+        for q in p + np.arange(-40, 41) * np.spacing(p):
+            by_log.setdefault(math.log10(q), float(q))
+    path = tmp_path / "hist.csv"
+
+    def counts(pf_hats):
+        outcome = BinOutcome(0, "finished", 0, 0.0, 0.0, 0.0)
+        results = [RunResult("dss", pf, (outcome,), 1, 100, 0.0, "converged", (),
+                             np.empty((0, 2))) for pf in pf_hats]
+        write_hist_csv(path, results)
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(r["log10_hi"]) - float(r["log10_lo"]) == pytest.approx(0.1)
+                   for r in rows)
+        return [int(r["count"]) for r in rows]
+
+    pfs = list(by_log.values()) + [1.9952623149688748e-10]  # log10 = -9.700000000000001
+    for pf in pfs:
+        assert counts([pf]) == [1], pf
+    assert sum(counts(pfs)) == len(pfs)
 
 
 def test_replicate_reruns_byte_identical(tmp_path):

@@ -111,9 +111,9 @@ def _assert_matches_solo(cfg: ExperimentConfig, results) -> None:
 
 def test_group_size_rule():
     cfg = ExperimentConfig("piecewise_linear", "dss", 500)
-    assert group_size(cfg, 2) == 65
+    assert group_size(cfg, 2) == 262
     assert group_size(dataclasses.replace(cfg, n=20000), 10) == 1
-    assert group_size(dataclasses.replace(cfg, n=3000), 10) == 2
+    assert group_size(dataclasses.replace(cfg, n=13000), 10) == 2
 
 
 def test_one_g_call_serves_a_group(monkeypatch):
@@ -142,6 +142,9 @@ def test_one_g_call_serves_a_group(monkeypatch):
     # a round whose proposals all land in a closed bin: the run proposes again
     ExperimentConfig("piecewise_linear", "dss", 80, partition="halfspace", axis=2, rho=0.5,
                      runs=6, seed=0),
+    # 70 runs of n=500 in 2-D: one group, whose runs end their levels at different steps
+    ExperimentConfig("piecewise_linear", "dss", 500, partition="angular", cuts=CASE1,
+                     runs=70, seed=1),
 ])
 def test_a_group_makes_as_many_g_calls_as_its_longest_run(monkeypatch, cfg):
     # each step serves the next batch of every live run, whatever step it is at
@@ -193,9 +196,9 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
         run_steps([chains(0)], ls, [EvalCounter()], 299)
 
 
-@pytest.mark.parametrize("n, sizes", [(6600, [6600] * 3), (3000, [6000, 3000])])
+@pytest.mark.parametrize("n, sizes", [(26300, [26300] * 3), (13000, [26000, 13000])])
 def test_large_populations_run_in_small_groups(monkeypatch, n, sizes):
-    # n * dim = 66000 > 2**16 leaves every run alone; 30000 pairs them
+    # n * dim = 263000 > 2**18 leaves every run alone; 130000 pairs them
     calls = _Calls()
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
         limitstate.get_problem(name)))
