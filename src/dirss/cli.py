@@ -230,6 +230,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         # nothing to summarize: a runtime outcome, not a bad configuration
         print(f"no usable runs: {summary.failed_runs} failed, {summary.zero_runs} "
               f"returned a zero estimate; wrote {out / 'runs.csv'}", file=sys.stderr)
+        for stale in ("summary.json", "hist.csv"):  # an earlier batch's would misdescribe this one
+            (out / stale).unlink(missing_ok=True)
         return 1
     write_summary_json(out / "summary.json", cfg, summary)
     write_hist_csv(out / "hist.csv", results)

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError
 from .gaussian import RandomStream
 from .kernels import (  # noqa: F401 - perfbench/spans.py patches names here
-    AcceptRegion,
     ChainRequest,
     McmcConfig,
     binned_quantiles,
@@ -339,9 +338,11 @@ class DssGroup:
         if closing.any():
             self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key, counts_per_bin)
 
-        # a seed lies at or below its bin's threshold, in an open bin but for
-        # SS, whose last record counts its failing points (g-values are finite)
-        seed = gv <= (gamma if ss else np.where(active, gamma, -np.inf)).ravel()[key]
+        # a seed lies at or below the threshold table, -inf for a closed bin but
+        # for SS, whose last record counts its failing points (g-values are
+        # finite); an SS run that goes on has its one bin open either way
+        table = gamma if ss else np.where(active, gamma, -np.inf)
+        seed = gv <= table.ravel()[key]
         n_seeds = seed.sum(axis=1)
         d = self.d[rows]
         u = self.open_mass[rows] * powers[t + 1] + self.starved_mass[rows]
@@ -370,8 +371,8 @@ class DssGroup:
         streams = [self.streams[k] for k in going.tolist()]
         return [(going, ChainRequest(
             pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at), m,
-            stacked_residual_resample(m, self.n, streams), AcceptRegion(active[go], gamma[go]),
-            streams, self.mcmc, self.partition,
+            stacked_residual_resample(m, self.n, streams), table[go], streams, self.mcmc,
+            self.partition,
         ))]
 
     def _powers(self, top: int) -> np.ndarray:

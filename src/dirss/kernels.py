@@ -38,20 +38,12 @@ class McmcConfig:
             raise ConfigurationError(f"mcmc corr must lie in (0, 1), got {self.corr}")
 
 
-@dataclass(frozen=True)
-class AcceptRegion:
-    """Bin-wise acceptance region {(j, g) : active[j] and g <= gamma[j]}."""
-
-    active: np.ndarray
-    gamma: np.ndarray
-
-
 def propagate_chains(
     seed_points: np.ndarray,
     seed_gvals: np.ndarray,
     seed_bins: np.ndarray,
     offspring: np.ndarray,
-    region: AcceptRegion,
+    gamma: np.ndarray,
     cfg: McmcConfig,
     stream: RandomStream,
     ls: LimitState,
@@ -62,16 +54,17 @@ def propagate_chains(
 
     A seed with offspring count c contributes itself plus c - 1 kernel
     steps; a seed with count 0 contributes nothing. A step proposes
-    ``corr * state + sqrt(1 - corr**2) * eps``; a proposal landing in an
-    inactive bin is rejected before any g-evaluation (bin membership is
-    free), any other is evaluated once and accepted iff it satisfies
-    ``region``; a rejected step repeats the current state. The output
-    population has exactly ``offspring.sum()`` members, every one
-    satisfying ``region``. The level's normals come from one draw of
-    ``stream``; each round evaluates its proposals in open bins on ``ls``
-    in one g-call, counted by ``ctr``: this is a :class:`ChainRequest` of
-    one run, driven by :func:`run_steps` as a group's are.
-    Chains that take no step return at once, without a draw or a g-call.
+    ``corr * state + sqrt(1 - corr**2) * eps``. ``gamma`` is the threshold
+    table, -inf for a closed bin: a proposal in a closed bin is rejected
+    before any g-evaluation (bin membership is free), one in bin j is
+    evaluated once and accepted iff its g-value is at most ``gamma[j]``;
+    a rejected step repeats the current state. The output population has
+    exactly ``offspring.sum()`` members, each within its bin's threshold.
+    The level's normals come from one draw of ``stream``; each round
+    evaluates its proposals in open bins on ``ls`` in one g-call, counted
+    by ``ctr``: this is a :class:`ChainRequest` of one run, driven by
+    :func:`run_steps` as a group's are. Chains that take no step return
+    at once, without a draw or a g-call.
 
     Returns
     -------
@@ -84,10 +77,9 @@ def propagate_chains(
     if not keep.any():
         raise ConfigurationError("at least one seed needs a positive offspring count")
     seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
-    rows = AcceptRegion(region.active[None], region.gamma[None])
 
     def chains():
-        return (yield ChainRequest(*seeds, np.array([counts.size]), counts, rows, [stream],
+        return (yield ChainRequest(*seeds, np.array([counts.size]), counts, gamma[None], [stream],
                                    cfg, partition))
 
     return run_alone([chains()], ls, ctr, int(counts.sum()))
@@ -101,8 +93,9 @@ class ChainRequest:
     The seeds are stacked run by run: run i brings the next ``n_seeds[i]``
     (at least 1) of ``points``, ``gvals`` and ``bins``, each with its
     offspring count (at least 1) in ``counts``, draws from ``streams[i]``
-    and accepts by row i of the ``(runs, J)`` arrays of ``region``. A run
-    whose counts are all 1 takes no chain step: its seeds are its population.
+    and accepts by row i of ``gamma``, the ``(runs, J)`` threshold table,
+    -inf for a closed bin. A run whose counts are all 1 takes no chain
+    step: its seeds are its population.
     """
 
     points: np.ndarray
@@ -110,7 +103,7 @@ class ChainRequest:
     bins: np.ndarray
     n_seeds: np.ndarray
     counts: np.ndarray
-    region: AcceptRegion
+    gamma: np.ndarray
     streams: list[RandomStream]
     cfg: McmcConfig
     partition: Partition
@@ -127,7 +120,8 @@ class _Lockstep:
     with one write of each slab array; only their normal draws stay run
     by run. A round of every run's chains is one proposal expression,
     one ``classify``, one lookup in the flat ``(runs*J)`` threshold table,
-    one write and one accept, over the chains that have steps left.
+    -inf for a closed bin, one write and one accept, over the chains that
+    have steps left.
     """
 
     def __init__(self, runs: int, n: int):
@@ -181,8 +175,7 @@ class _Lockstep:
         self.start[chain], self.last[chain] = starts + 1, starts + counts - 1
         steps = size - m
         self.cursor[ks], self.stop[ks], self.size[ks], self.rounds[ks] = base, base + steps, size, 0
-        region = want.region
-        self.gamma.reshape(self.runs, -1)[ks] = np.where(region.active, region.gamma, -np.inf)
+        self.gamma.reshape(self.runs, -1)[ks] = want.gamma
         self.live = np.concatenate((self.live, chain[counts > 1]))
         self.live.sort(kind="stable")  # a merge of sorted runs of rows
         for k, stream, b, s in zip(ks.tolist(), want.streams, base.tolist(), steps.tolist()):
@@ -292,12 +285,9 @@ class _Lockstep:
         self.rounds[stepped] += 1
         gone = at == self.last[rows]
         if np.count_nonzero(gone):  # some chains took their last step
-            if rows.size == self.live.size:  # rows are live rows: here, all of them
-                self.live = rows[~gone]
-            else:
-                keep = np.ones(self.live.size, bool)
-                keep[self.live.searchsorted(rows[gone])] = False
-                self.live = self.live[keep]
+            keep = np.ones(self.live.size, bool)
+            keep[self.live.searchsorted(rows[gone])] = False
+            self.live = self.live[keep]
         done = stepped[self.cursor[stepped] == self.stop[stepped]].tolist()
         return [self._population(k) for k in done]
 

@@ -24,7 +24,7 @@ from dirss import (
     summarize,
 )
 from dirss.cli import main
-from dirss.kernels import AcceptRegion, interp_quantile, propagate_chains, residual_resample
+from dirss.kernels import interp_quantile, propagate_chains, residual_resample
 
 CASE1_CUTS = (-math.pi + 0.8, 0.8)
 QUADRANT_CUTS = (-math.pi / 2, 0.0, math.pi / 2, math.pi)
@@ -262,7 +262,7 @@ def test_criterion_8_kernel_validity():
     def chain_samples(gamma, seed):
         pts, _, _ = propagate_chains(
             np.zeros((chains, 1)), np.zeros(chains), np.zeros(chains, dtype=np.int64),
-            np.full(chains, steps + 1), AcceptRegion(np.ones(1, bool), np.array([gamma])),
+            np.full(chains, steps + 1), np.array([gamma]),
             cfg, RandomStream(seed), ls, part, EvalCounter(),
         )
         return pts[steps :: steps + 1, 0]

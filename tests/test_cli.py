@@ -39,6 +39,10 @@ def test_run_prints_estimate_and_bin_contributions(tmp_path, capsys):
     assert "pi_hat_1" in out and "pi_hat_2" in out
     pf = float(out.split("pf_hat = ")[1].split()[0])
     assert pf > 0
+    # --seed overrides the config's seed 3
+    assert main(["run", "--config", str(cfg), "--seed", "99"]) == 0
+    out = capsys.readouterr().out
+    assert "seed=99" in out and float(out.split("pf_hat = ")[1].split()[0]) != pf
 
 
 def test_run_writes_levels_csv(tmp_path):
@@ -130,6 +134,17 @@ def test_replicate_without_usable_runs_exits_1(tmp_path, capsys):
             assert not (out / "summary.json").exists()
     finally:
         limitstate._REGISTRY.pop("flaky_never", None)
+
+
+def test_replicate_without_usable_runs_removes_stale_outputs(tmp_path):
+    # summary.json and hist.csv of an earlier batch in the same directory
+    # would describe that batch, and --config summary.json would replay it
+    out = tmp_path / "rep"
+    for problem, code in [("always_fail", 0), ("never_fail", 1)]:
+        cfg = _write_config(tmp_path / "cfg.json", problem=problem, algorithm="mcs", n=50)
+        assert main(["replicate", "--config", str(cfg), "--runs", "3", "--out", str(out),
+                     "--pf-ref", "1"]) == code
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
 
 
 def test_config_validation_messages(tmp_path, capsys):

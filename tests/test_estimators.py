@@ -57,6 +57,8 @@ def test_mcs_trivial_problems():
     assert res.pf_hat == 0.0
     assert res.n_evals == 500
     assert res.levels == 1
+    with pytest.raises(ConfigurationError, match="at least 1 sample"):
+        run_mcs(get_problem("never_fail"), 0, RandomStream(1))
 
 
 def test_mcs_chunking_consistent(monkeypatch):
@@ -144,6 +146,10 @@ def test_ss_input_validation():
         run_ss(get_problem("always_fail"), 100, rho=1.5, stream=RandomStream(0))
     with pytest.raises(ConfigurationError, match="eps_tol"):
         run_dss(get_problem("always_fail"), make_single_bin(2), 100, eps_tol=math.nan)
+    with pytest.raises(ConfigurationError, match="max_levels"):
+        run_ss(get_problem("always_fail"), 100, max_levels=0)
+    with pytest.raises(ConfigurationError, match="max_levels"):
+        run_dss(get_problem("always_fail"), make_single_bin(2), 100, max_levels=0)
 
 
 # ------------------------------------------------------------------- dSS

@@ -80,6 +80,8 @@ def test_config_validation_rejects_bad_values():
             validate_config(ExperimentConfig(**{**base, "eps_tol": eps_tol}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "n": 1}))
+    with pytest.raises(ConfigurationError, match="max_levels"):
+        validate_config(ExperimentConfig(**{**base, "max_levels": 0}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "problem": "unknown_thing"}))
 

@@ -16,7 +16,6 @@ from dirss import (
     make_single_bin,
 )
 from dirss.kernels import (
-    AcceptRegion,
     binned_quantiles,
     interp_quantile,
     propagate_chains,
@@ -101,6 +100,8 @@ def test_binned_quantiles_equal_per_bin_interp_quantile(rho):
             else:
                 assert q[j] == interp_quantile(members, rho) == _sorted_quantile(members, rho)
     assert sizes == {0, 1, 2}  # empty, single-member and larger bins all occurred
+    # a population of no values leaves every bin empty
+    assert np.isnan(binned_quantiles([], [], 5, rho)).tolist() == [True] * 5
 
 
 def test_binned_quantiles_beyond_radix_range():
@@ -198,9 +199,9 @@ def _theta_problem(dimension: int = 1):
     return LimitState("theta", dimension, lambda pts: pts[:, 0])
 
 
-def _below(gamma: float) -> AcceptRegion:
-    """Single-bin region {g <= gamma}."""
-    return AcceptRegion(np.ones(1, bool), np.array([gamma]))
+def _below(gamma: float) -> np.ndarray:
+    """Single-bin threshold table {g <= gamma}."""
+    return np.array([gamma])
 
 
 def _chains(seeds, steps, region, corr, stream, ctr=None):
@@ -287,6 +288,9 @@ def test_propagate_chains_drops_zero_count_seeds():
     with pytest.raises(ConfigurationError, match="positive offspring"):
         propagate_chains(seeds, gvals, bins, np.zeros(3, np.int64), region,
                          McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter())
+    with pytest.raises(ConfigurationError, match="number of seeds"):
+        propagate_chains(seeds, gvals, bins, np.array([2, 3]), region,
+                         McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter())
 
 
 def test_propagate_chains_deterministic():
@@ -338,7 +342,7 @@ def test_chain_rejection_into_closed_bin_is_free():
 
     ls = LimitState("theta", 2, g)
     part = make_halfspace(1, 2)
-    region = AcceptRegion(np.array([True, False]), np.array([np.inf, np.inf]))
+    region = np.array([np.inf, -np.inf])
     ctr = EvalCounter()
     pts, gv, bins = propagate_chains(
         np.array([[-0.5, 0.0]]), np.array([-0.5]), np.zeros(1, dtype=np.int64),

@@ -89,6 +89,8 @@ def test_dimension_mismatch_is_configuration_error():
 def test_linear_problem_value():
     ls = make_linear(2.5)
     assert evaluate_batch(ls, np.array([1.0])[None], EvalCounter())[0] == pytest.approx(1.5)
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        make_linear(2.5, 0)
 
 
 def test_registry_lookup():

@@ -35,7 +35,6 @@ from dirss import (
 from dirss.estimators import DssGroup
 from dirss.harness import group_size
 from dirss.kernels import (
-    AcceptRegion,
     ChainRequest,
     binned_quantiles,
     propagate_chains,
@@ -166,7 +165,7 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     # run with no point for g takes its round and proposes again at once
     calls = _Calls()
     ls = calls.wrap(LimitState("theta", 2, lambda pts: pts[:, 0]))
-    region = AcceptRegion(np.array([[True, False]]), np.array([[np.inf, np.inf]]))
+    region = np.array([[np.inf, -np.inf]])
     part = make_halfspace(1, 2)  # the runs of a group share their partition
 
     def request(seed, stream, part):
@@ -403,12 +402,12 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
     gvals = [make_piecewise_linear().evaluator(p) for p in seeds]
     counts = [np.array([5, 5, 4, 4, 4, 4, 4]), np.ones(n, np.int64), np.full(11, 2)]
     active = np.array([[True, True], [True, False], [False, True]])
-    gamma = np.array([[g.max() + 0.5] * 2 for g in gvals])
+    gamma = np.where(active, [[g.max() + 0.5] * 2 for g in gvals], -np.inf)
     cfg = McmcConfig(0.7)
     request = ChainRequest(
         np.concatenate(seeds), np.concatenate(gvals),
         np.concatenate([part.classify(p) for p in seeds]), np.array([7, n, 11]),
-        np.concatenate(counts), AcceptRegion(active, gamma),
+        np.concatenate(counts), gamma,
         [RandomStream(13, k) for k in range(3)], cfg, part,
     )
     ctrs = [EvalCounter() for _ in range(3)]
@@ -418,7 +417,7 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
         calls.sizes.clear()
         ctr, stream = EvalCounter(), RandomStream(13, k)
         alone = propagate_chains(seeds[k], gvals[k], part.classify(seeds[k]), counts[k],
-                                 AcceptRegion(active[k], gamma[k]), cfg, stream, ls, part, ctr)
+                                 gamma[k], cfg, stream, ls, part, ctr)
         assert [a.tobytes() for a in alone] == [a.tobytes() for a in group[k]]
         assert ctr.count == ctrs[k].count == sum(calls.sizes)
         solo.append(len(calls.sizes))
