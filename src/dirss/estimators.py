@@ -7,12 +7,12 @@ per-level diagnostics, and the exact number of g-evaluations spent.
 
 One loop (``kernels.run_steps``) advances the estimators, alone for
 ``run_mcs``, ``run_ss`` and ``run_dss`` and in groups for the replicate
-harness, whose runs share each step's g-call and chain slab. MCS is a
-step generator (``mcs_steps``) that yields the points it needs
-evaluated and receives their g-values back. SS and dSS share one level
-loop, a stepper for a whole group (``DssGroup``), whose runs that end a
-level at the same step share one threshold update and one handoff of
-their seeds to the chain slab.
+harness, whose runs share each step's g-call and chain slab. It drives
+one kind of client, a stepper for a whole group: ``McsGroup`` for MCS,
+whose runs request their next chunk of points each step, and
+``DssGroup`` for SS and dSS, which share one level loop and whose runs
+that end a level at the same step share one threshold update and one
+handoff of their seeds to the chain slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError
 from .gaussian import RandomStream
 from .kernels import (  # noqa: F401 - perfbench/spans.py patches names here
     ChainRequest,
@@ -119,49 +119,56 @@ def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
 
 
 def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
-    """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0."""
+    """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0, run as
+    a :class:`McsGroup` of one."""
     ctr = EvalCounter()
-    return run_alone([mcs_steps(ls, n, stream, ctr)], ls, ctr, n)
+    return run_alone(McsGroup(ls, n, [stream], [ctr]), ls, ctr, n)
 
 
-def mcs_steps(ls: LimitState, n: int, stream: RandomStream, ctr: EvalCounter):
-    """Step generator of :func:`run_mcs`.
+class McsGroup:
+    """:func:`run_mcs` for a group of runs, as the stepper :func:`kernels.run_steps` drives.
 
-    ``ctr`` is the run's counter: whoever drives the generator counts
-    the evaluations on it, and the result reports its count.
+    Run k draws from ``streams[k]`` and reports the count of ``ctrs[k]``.
+    Each step, every live run draws its next chunk of at most
+    ``_MCS_CHUNK`` points from its own stream, and the chunks go to g as
+    one request.
     """
-    if n < 1:
-        raise ConfigurationError("Monte Carlo needs at least 1 sample")
-    n_fail = 0
-    fail_pts: list[np.ndarray] = []
-    done = 0
-    while done < n:
-        k = min(_MCS_CHUNK, n - done)
-        pts = stream.standard_normal((k, ls.dimension))
-        gv = yield pts
-        mask = gv <= 0.0
-        n_fail += int(mask.sum())
-        if mask.any():
-            fail_pts.append(pts[mask])
-        done += k
-    pf = n_fail / n
-    outcome = BinOutcome(
-        bin=0, status="finished", level=0, p_final=pf, pi_hat=pf, bound=0.0
-    )
-    record = LevelRecord(
-        level=0, gamma=(0.0,), counts=(n,), n_seeds=n_fail, pf_finished=pf, upper_bound=0.0
-    )
-    return RunResult(
-        algorithm="mcs",
-        pf_hat=pf,
-        bin_outcomes=(outcome,),
-        levels=1,
-        n_evals=ctr.count,
-        unresolved_bound=0.0,
-        status="converged",
-        level_records=(record,),
-        failure_points=_stack_points(fail_pts, ls.dimension),
-    )
+
+    def __init__(self, ls: LimitState, n: int, streams: list[RandomStream],
+                 ctrs: list[EvalCounter]):
+        if n < 1:
+            raise ConfigurationError("Monte Carlo needs at least 1 sample")
+        self.ls, self.n, self.streams, self.ctrs = ls, n, streams, ctrs
+        self.done, self.chunks = 0, {}  # points drawn by each live run; its last chunk
+        self.fail_pts: list[list] = [[] for _ in streams]
+        self.results: list = [None] * len(streams)
+
+    def send(self, ready: list[tuple]) -> list[tuple]:
+        """Take the g-values of each ready run's last chunk, ``None`` at the
+        start; return the runs' next chunks, or end the runs once all are drawn."""
+        for k, gv in ready:
+            if gv is not None:
+                self.fail_pts[k].append(self.chunks[k][gv <= 0.0])
+        ks = [k for k, _ in ready]
+        if self.done == self.n:
+            for k in ks:
+                self._finish(k)
+            return []
+        size = min(_MCS_CHUNK, self.n - self.done)
+        self.done += size
+        pts = np.empty((len(ks), size, self.ls.dimension))
+        for k, out in zip(ks, pts):
+            self.streams[k].standard_normal(out=out)
+        self.chunks = dict(zip(ks, pts))
+        return [(ks, pts)]
+
+    def _finish(self, k: int) -> None:
+        fail = np.vstack(self.fail_pts[k])
+        pf = len(fail) / self.n
+        outcome = BinOutcome(0, "finished", 0, pf, pf, 0.0)
+        record = LevelRecord(0, (0.0,), (self.n,), len(fail), pf, 0.0)
+        self.results[k] = RunResult("mcs", pf, (outcome,), 1, self.ctrs[k].count, 0.0,
+                                    "converged", (record,), fail)
 
 
 def run_ss(
@@ -289,14 +296,12 @@ class DssGroup:
     def send(self, ready: list[tuple]) -> list[tuple]:
         """Take the level-0 g-values or the new population of each ready run,
         ``None`` at the start; return the requests of the runs that go on."""
-        if not ready:
-            return []
         ks = [k for k, _ in ready]
         if ready[0][1] is None:  # the start: each run draws its level-0 points
             self.level0 = np.empty((len(ks), self.n, self.ls.dimension))
             for k in ks:
                 self.streams[k].standard_normal(out=self.level0[k])
-            return [(k, self.level0[k]) for k in ks]
+            return [(ks, self.level0)]
         shape = (len(ks), self.n)
         if self.level0 is not None:  # the level-0 g-values of all runs come back at one step
             pts, self.level0 = self.level0[ks], None
@@ -305,9 +310,6 @@ class DssGroup:
         pts, gv, bins = zip(*(v for _, v in ready))
         return self._levels(ks, _stacked(pts, (*shape, -1)), _stacked(gv, shape),
                             _stacked(bins, shape))
-
-    def fail(self, k: int, exc: EvaluationError) -> None:
-        self.results[k] = exc
 
     def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:
         """End a level of runs ``ks`` from their populations, stacked run by run;

@@ -17,6 +17,8 @@ it ran in.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import pickle
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -29,14 +31,14 @@ from .errors import ConfigurationError, EvaluationError
 from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run_dss here
     BinOutcome,
     DssGroup,
+    McsGroup,
     RunResult,
-    mcs_steps,
     run_dss,
     run_ss,
 )
 from .gaussian import RandomStream
 from .kernels import McmcConfig, run_steps
-from .limitstate import EvalCounter, LimitState, get_problem
+from .limitstate import EvalCounter, LimitState, get_problem, problem_factory, register_problem
 from .partition import Partition, from_spec, make_single_bin
 
 ALGORITHMS = ("mcs", "ss", "dss")
@@ -169,7 +171,7 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     ctrs = [EvalCounter() for _ in stream_ids]
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
-        steps = [mcs_steps(ls, cfg.n, stream, ctr) for stream, ctr in zip(streams, ctrs)]
+        steps = McsGroup(ls, cfg.n, streams, ctrs)
     else:  # SS is dSS with a single bin
         steps = DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr), cfg.eps_tol,
                          cfg.max_levels, streams, ctrs, cfg.algorithm)
@@ -198,9 +200,13 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     or a g that raised or returned bad values (see
     :class:`EvaluationError`). The batch itself never aborts on them.
     With ``jobs`` > 1 the groups, made no larger than needed to give
-    every worker runs, are distributed over a process pool. Results are
-    identical for any grouping and any ``jobs``, because streams are
-    pre-assigned and a run does not depend on its group.
+    every worker runs, are distributed over a process pool, and each
+    worker registers the problem's factory, so that a problem registered
+    at run time reaches it too. Under a start method other than fork the
+    factory must pickle, or a :class:`ConfigurationError` is raised
+    before any run starts. Results are identical for any grouping and
+    any ``jobs``, because streams are pre-assigned and a run does not
+    depend on its group.
     """
     validate_config(cfg)
     size = group_size(cfg, build_problem(cfg).dimension)
@@ -209,7 +215,17 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     groups = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
     if jobs <= 1:
         return [r for g in groups for r in run_group(cfg, g)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    ctx, factory = multiprocessing.get_context(), problem_factory(cfg.problem)
+    if (method := ctx.get_start_method()) != "fork":  # workers import dirss afresh
+        try:
+            pickle.dumps(factory)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigurationError(
+                f"problem {cfg.problem!r} cannot reach the worker processes of the {method!r} "
+                f"start method: its factory does not pickle ({exc})"
+            ) from None
+    with ProcessPoolExecutor(jobs, ctx, initializer=register_problem,
+                             initargs=(cfg.problem, factory)) as pool:
         return [r for rs in pool.map(partial(run_group, cfg), groups) for r in rs]
 
 

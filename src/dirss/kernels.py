@@ -76,13 +76,21 @@ def propagate_chains(
     keep = offspring > 0
     if not keep.any():
         raise ConfigurationError("at least one seed needs a positive offspring count")
-    seeds, counts = (seed_points[keep], seed_gvals[keep], seed_bins[keep]), offspring[keep]
+    counts = offspring[keep]
+    request = ChainRequest(seed_points[keep], seed_gvals[keep], seed_bins[keep],
+                           np.array([counts.size]), counts, gamma[None], [stream], cfg, partition)
+    return run_alone(_Chains(request), ls, ctr, int(counts.sum()))
 
-    def chains():
-        return (yield ChainRequest(*seeds, np.array([counts.size]), counts, gamma[None], [stream],
-                                   cfg, partition))
 
-    return run_alone([chains()], ls, ctr, int(counts.sum()))
+class _Chains:
+    """The stepper of :func:`propagate_chains`: one run that brings one request."""
+
+    def __init__(self, request):
+        self.request, self.results = request, [None]
+
+    def send(self, ready: list[tuple]) -> list[tuple]:
+        ((_, self.results[0]),) = ready  # None at the start, then the population
+        return [] if self.results[0] is not None else [([0], self.request)]
 
 
 @dataclass(frozen=True)
@@ -132,12 +140,13 @@ class _Lockstep:
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(runs + 1) * n
         self.ended: list[tuple] = []  # runs whose chains took no step, for propose
 
-    def add(self, k, want) -> None:
-        """Queue run k's points, or enter the chains of the runs in the list k."""
+    def add(self, ks, want) -> None:
+        """Enter the chains of runs ``ks``, or queue their points, ``want[i]`` run ``ks[i]``'s."""
         if isinstance(want, ChainRequest):
-            self.enter(np.asarray(k), want)
-        else:
-            self.queue.append((want, [k], [want.shape[0]], None))
+            self.enter(np.asarray(ks), want)
+        else:  # a (runs, N, dim) array
+            runs, size, dim = want.shape
+            self.queue.append((want.reshape(-1, dim), ks, [size] * runs, None))
 
     def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
@@ -153,28 +162,32 @@ class _Lockstep:
             self.out_b, self.start, self.last = np.zeros((3, rows), np.int64)
             # per run and bin: the threshold of an open bin, -inf for a closed one
             self.gamma = np.empty(self.runs * self.n_bins)
-            # per run: the row of its next normal and past its last, its population
-            # size, the rounds its chains took this level, its first table entry
-            self.cursor, self.stop, self.size, self.rounds = np.zeros((4, self.runs), np.int64)
+            # per run: the row of its next normal and past its last, the rounds
+            # its chains took this level, its first table entry
+            self.cursor, self.stop, self.rounds = np.zeros((3, self.runs), np.int64)
             self.tables = np.arange(self.runs) * self.n_bins
         elif want.partition is not self.partition or want.cfg != self.cfg:
             raise ConfigurationError("the runs of a group must share partition and MCMC settings")
+        if want.gamma.shape != (ks.size, self.n_bins):
+            raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
+                                     f"fit {ks.size} runs of {self.n_bins} bins")
         m, counts = want.n_seeds, want.counts
         firsts = m.cumsum() - m  # each run's first seed
         size = np.add.reduceat(counts, firsts)
-        if size.max() > self.n:
+        if (size != self.n).any():
             raise ConfigurationError(
-                f"a population of {size.max()} exceeds the {self.n} rows of a run")
+                f"a population of {size[size != self.n][0]} does not fill the {self.n} rows "
+                "of a run")
         # a seed's chain writes after the chains of its run's earlier seeds
         base = ks * self.n
-        starts = counts.cumsum() - counts + (base - size.cumsum() + size).repeat(m)
+        starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
         points = np.ascontiguousarray(want.points, dtype=float)
         self.out_v[starts], self.out_g[starts] = points.view(self.out_v.dtype)[:, 0], want.gvals
         self.out_b[starts] = want.bins
         chain = np.arange(counts.size) + (base - firsts).repeat(m)
         self.start[chain], self.last[chain] = starts + 1, starts + counts - 1
-        steps = size - m
-        self.cursor[ks], self.stop[ks], self.size[ks], self.rounds[ks] = base, base + steps, size, 0
+        steps = self.n - m
+        self.cursor[ks], self.stop[ks], self.rounds[ks] = base, base + steps, 0
         self.gamma.reshape(self.runs, -1)[ks] = want.gamma
         self.live = np.concatenate((self.live, chain[counts > 1]))
         self.live.sort(kind="stable")  # a merge of sorted runs of rows
@@ -186,7 +199,7 @@ class _Lockstep:
 
     def _population(self, k: int) -> tuple:
         # a run whose level ended gets views of its rows, valid until its next request
-        s = slice(k * self.n, k * self.n + self.size[k])
+        s = slice(k * self.n, (k + 1) * self.n)
         return k, (self.out_p[s], self.out_g[s], self.out_b[s])
 
     def propose(self) -> list[tuple]:
@@ -265,7 +278,7 @@ class _Lockstep:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
             if chains is None:
-                ended.append((owners[0], g))
+                ended += zip(owners, g.reshape(len(owners), -1))
                 continue
             rows, at, slots, pbins, gamma, stepped = chains
             ended += self._advance(rows, at, stepped)
@@ -296,51 +309,28 @@ class _Lockstep:
             self.live = self.live[self.live // self.n != k]
 
 
-class Generators:
-    """Step generators, one a run, as a stepper: each yields an ``(N, dim)``
-    array of points or a :class:`ChainRequest` of its own run, and returns its result."""
-
-    def __init__(self, gens: list):
-        self.gens, self.results = gens, [None] * len(gens)
-
-    def send(self, ready: list[tuple]) -> list[tuple]:
-        wants = []
-        for k, value in ready:
-            try:
-                want = self.gens[k].send(value)
-                wants.append(([k] if isinstance(want, ChainRequest) else k, want))
-            except StopIteration as stop:
-                self.results[k] = stop.value
-        return wants
-
-    def fail(self, k: int, exc: EvaluationError) -> None:
-        self.gens[k].close()
-        self.results[k] = exc
-
-
 def run_steps(steps, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
-    """Drive the ``len(ctrs)`` runs of a stepper in lockstep and return their results.
+    """Drive the ``len(ctrs)`` runs of a group stepper in lockstep and return their results.
 
-    ``steps`` is a stepper or a list of step generators. Its ``send``
-    takes ``(run, value)`` pairs, ``None`` at the start, and returns
-    ``(run, request)`` pairs: an ``(N, dim)`` array of points, whose
-    g-values are the next value, or a :class:`ChainRequest` of the runs in
-    the list ``run``, each of at most ``n`` offspring, whose new
-    populations are; a run that ends sets its entry of ``results``. A
-    step makes one g-call (none without points) for every run's points
-    and every chain proposal in an open bin, each run counting its own on
-    its counter in ``ctrs``. A run whose chains take no step, or no step
-    that needs g, gets its population back within the step, as often as
-    it asks. A run whose own points make g fail is closed by ``fail``,
-    its result the error.
+    The stepper's ``send`` takes ``(run, value)`` pairs of the runs that
+    are ready, ``None`` for each at the start, and returns ``(runs,
+    request)`` pairs, ``runs`` a list: a ``(len(runs), N, dim)`` array of
+    points, whose g-values are each run's next value, or a
+    :class:`ChainRequest` of the runs, each filling ``n`` rows, whose new
+    populations are. A run that ends sets its entry of the stepper's
+    ``results``. A step makes one g-call (none without points) for every
+    run's points and every chain proposal in an open bin, each run
+    counting its own on its counter in ``ctrs``. A run whose chains take
+    no step, or no step that needs g, gets its population back within
+    the step, as often as it asks. A run whose own points make g fail
+    ends with the :class:`EvaluationError` as its result, and is not
+    sent again.
     """
-    if isinstance(steps, list):
-        steps = Generators(steps)
     step = _Lockstep(len(ctrs), n)
     ready: list[tuple] = [(k, None) for k in range(len(ctrs))]
     while True:
-        for k, want in steps.send(ready):
-            step.add(k, want)
+        for ks, want in steps.send(ready) if ready else ():
+            step.add(ks, want)
         ready = step.propose()
         if ready:
             continue
@@ -349,7 +339,7 @@ def run_steps(steps, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
         gv, failed = step.evaluate(ls, ctrs)
         ready = [(k, value) for k, value in step.accept(gv) if k not in failed]
         for k, exc in failed.items():
-            steps.fail(k, exc)
+            steps.results[k] = exc
             step.drop(k)
 
 

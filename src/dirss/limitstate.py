@@ -12,6 +12,7 @@ values, surfaces as an :class:`EvaluationError` that names the problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -51,7 +52,7 @@ def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.n
     """Evaluate g at each row of ``points``, incrementing the counter by the row count.
 
     Raises :class:`EvaluationError` if g raises, or returns anything but
-    one finite value per point.
+    one finite real value (of an integer or float dtype) per point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != ls.dimension:
@@ -60,11 +61,15 @@ def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.n
         )
     ctr.add(pts.shape[0])
     try:
-        gv = np.asarray(ls.evaluator(pts), dtype=float)
+        gv = np.asarray(ls.evaluator(pts))
     except Exception as exc:  # any failure of user code is a failure of this run
         raise EvaluationError(
             f"g of problem {ls.name!r} raised {type(exc).__name__}: {exc}", ctr.count
         ) from exc
+    if gv.dtype.kind not in "iuf":  # not bool, complex or object
+        raise EvaluationError(f"g of problem {ls.name!r} returned values of dtype {gv.dtype}, "
+                              "expected integer or float", ctr.count)
+    gv = gv.astype(float, copy=False)
     n = pts.shape[0]
     if gv.shape != (n,):
         raise EvaluationError(
@@ -134,17 +139,21 @@ def register_problem(name: str, factory: Callable[[], LimitState]) -> None:
     _REGISTRY[name] = factory
 
 
-def get_problem(name: str) -> LimitState:
-    """Look up a registered problem by name."""
+def problem_factory(name: str) -> Callable[[], LimitState]:
+    """The factory registered under ``name``."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ConfigurationError(f"unknown problem {name!r} (known: {known})") from None
-    return factory()
+
+
+def get_problem(name: str) -> LimitState:
+    """Look up a registered problem by name."""
+    return problem_factory(name)()
 
 
 register_problem("piecewise_linear", make_piecewise_linear)
 register_problem("beta_points", make_beta_points)
-register_problem("always_fail", lambda: make_constant(-1.0, name="always_fail"))
-register_problem("never_fail", lambda: make_constant(1.0, name="never_fail"))
+register_problem("always_fail", partial(make_constant, -1.0, name="always_fail"))
+register_problem("never_fail", partial(make_constant, 1.0, name="never_fail"))

@@ -304,6 +304,14 @@ def test_bad_g_stops_the_run_with_evaluation_error():
     for run in (lambda: run_ss(nan_g, 100), lambda: run_dss(nan_g, CASE1, 100)):
         with pytest.raises(EvaluationError, match="non-finite"):
             run()
+    # a boolean mask used to read as 0 and 1 and converge at pf_hat 1.0 after
+    # one level; a complex g used to lose its imaginary part
+    mask = LimitState("mask", 2, lambda pts: pts[:, 0] > 3.0)
+    with pytest.raises(EvaluationError, match="'mask' returned values of dtype bool"):
+        run_ss(mask, 200, stream=RandomStream(1))
+    complex_g = LimitState("complex_g", 2, lambda pts: 3.0 - pts[:, 0] + 1j)
+    with pytest.raises(EvaluationError, match="'complex_g' returned values of dtype complex"):
+        run_dss(complex_g, CASE1, 200, stream=RandomStream(1))
 
 
 def test_dss_stream_defaults_to_seed_zero():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ from dirss import (
     ConfigurationError,
     ExperimentConfig,
     LimitState,
+    limitstate,
     RandomStream,
     get_problem,
     make_linear,
@@ -50,6 +53,7 @@ def test_replicate_is_deterministic():
     assert [r.n_evals for r in a] == [r.n_evals for r in b]
 
 
+@pytest.mark.jobs
 def test_replicate_parallel_matches_sequential():
     a = replicate(SS_CFG)
     b = replicate(SS_CFG, jobs=3)
@@ -215,6 +219,7 @@ def _flaky_linear():
     return LimitState("flaky_linear", 2, g)
 
 
+@pytest.mark.jobs
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_replicate_records_raising_g_as_failed_runs(jobs):
     from dirss import limitstate
@@ -238,3 +243,58 @@ def test_replicate_records_raising_g_as_failed_runs(jobs):
         else:
             assert res.reason == ""
             assert (res.pf_hat, res.n_evals, res.levels) == (ref.pf_hat, ref.n_evals, ref.levels)
+
+
+def _mask() -> LimitState:
+    return LimitState("mask", 2, lambda p: p[:, 0] > 3.0)
+
+
+def test_replicate_records_g_values_that_are_not_real_numbers_as_failed_runs():
+    register_problem("mask", _mask)
+    try:
+        results = replicate(ExperimentConfig(problem="mask", algorithm="ss", n=200, runs=3))
+    finally:
+        limitstate._REGISTRY.pop("mask", None)
+    for res in results:
+        assert res.status == "failed" and res.n_evals == 200
+        assert "'mask' returned values of dtype bool" in res.reason
+
+
+@pytest.fixture
+def spawn():
+    """Worker processes by the spawn start method, the default restored afterwards."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    yield
+    multiprocessing.set_start_method(method, force=True)
+
+
+def test_replicate_jobs_reach_a_problem_registered_at_run_time(spawn):
+    # each spawned worker imports dirss afresh, with the built-in problems only
+    register_problem("margin_2_5", partial(make_linear, 2.5, 2, "margin_2_5"))
+    try:
+        cfg = ExperimentConfig(problem="margin_2_5", algorithm="ss", n=100, runs=4, seed=2)
+        parallel, serial = replicate(cfg, jobs=2), replicate(cfg)
+    finally:
+        limitstate._REGISTRY.pop("margin_2_5", None)
+    assert [r.status for r in serial] == ["converged"] * cfg.runs
+    for a, b in zip(parallel, serial):
+        assert (a.pf_hat, a.n_evals, a.level_records) == (b.pf_hat, b.n_evals, b.level_records)
+        assert a.failure_points.tobytes() == b.failure_points.tobytes()
+
+
+def test_replicate_jobs_refuse_a_factory_that_does_not_pickle(spawn):
+    calls = []
+
+    def g(pts):
+        calls.append(pts.shape[0])
+        return 3.0 - pts[:, 0]
+
+    register_problem("local_margin", lambda: LimitState("local_margin", 2, g))
+    try:
+        cfg = ExperimentConfig(problem="local_margin", algorithm="ss", n=100, runs=4)
+        with pytest.raises(ConfigurationError, match="'local_margin'.*'spawn' start method"):
+            replicate(cfg, jobs=2)
+    finally:
+        limitstate._REGISTRY.pop("local_margin", None)
+    assert calls == []

@@ -353,6 +353,23 @@ def test_chain_rejection_into_closed_bin_is_free():
     assert 0 < ctr.count < 1000  # some proposals landed in the closed bin for free
 
 
+@pytest.mark.parametrize("table", [np.array([np.inf]), np.full(3, np.inf)])
+def test_threshold_table_must_have_one_entry_a_bin(table):
+    # a table of the wrong width is refused before any g-call: one entry
+    # on two bins used to open both
+    def g(pts):
+        raise AssertionError("g called")
+
+    ctr = EvalCounter()
+    with pytest.raises(ConfigurationError, match=rf"shape \(1, {table.size}\) does not fit"):
+        propagate_chains(
+            np.array([[-0.5, 0.0]]), np.array([-0.5]), np.zeros(1, dtype=np.int64),
+            np.array([50]), table, McmcConfig(0.5), RandomStream(3), LimitState("never", 2, g),
+            make_halfspace(1, 2), ctr,
+        )
+    assert ctr.count == 0
+
+
 def test_level_without_steps_makes_no_g_call_and_no_draw():
     def g(pts):
         raise AssertionError("g called")

@@ -131,6 +131,8 @@ def _raises(pts):
         (lambda pts: np.full(pts.shape[0], np.nan), "5 non-finite values"),
         (lambda pts: np.where(pts[:, 0] > 0, np.inf, 1.0), "2 non-finite values"),
         (_raises, "raised RuntimeError: solver diverged"),
+        (lambda pts: pts[:, 0] > 0, "values of dtype bool"),
+        (lambda pts: 3.0 - pts[:, 0] + 1j, "values of dtype complex128"),
     ],
 )
 def test_bad_g_output_is_evaluation_error(evaluator, fault):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,9 +85,10 @@ class _Calls:
 
 @pytest.fixture(autouse=True, scope="module")
 def _problems():
-    names = {f"faulty_{m}": (lambda m=m: _faulty(m)) for m in ("nan", "raise", "shape")}
-    names["linear_d10"] = lambda: make_linear(3.0, 10, "linear_d10")
-    names["linear_d6"] = lambda: make_linear(3.0, 6, "linear_d6")
+    # factories that pickle, so that worker processes of any start method get them
+    names = {f"faulty_{m}": partial(_faulty, m) for m in ("nan", "raise", "shape")}
+    names["linear_d10"] = partial(make_linear, 3.0, 10, "linear_d10")
+    names["linear_d6"] = partial(make_linear, 3.0, 6, "linear_d6")
     for name, make in names.items():
         register_problem(name, make)
     yield
@@ -168,31 +170,29 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     region = np.array([[np.inf, -np.inf]])
     part = make_halfspace(1, 2)  # the runs of a group share their partition
 
-    def request(seed, stream, part):
-        # one chain of 300 states from a seed; returns the population it gets back
-        return (yield ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([1]),
-                                   np.array([300]), region, [stream], McmcConfig(0.5), part))
-
-    def chains(k):
-        return request(np.array([[-0.1 * (k + 1), 0.0]]), RandomStream(10, k), part)
+    def request(k, part=part):
+        # one chain of 300 states from run k's seed
+        seed = np.array([[-0.1 * (k + 1), 0.0]])
+        return ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([1]),
+                            np.array([300]), region, [RandomStream(10, k)], McmcConfig(0.5), part)
 
     ctrs = [EvalCounter() for _ in range(3)]
-    group = run_steps([chains(k) for k in range(3)], ls, ctrs, 300)
+    group = run_steps(_Requests(*[request(k) for k in range(3)]), ls, ctrs, 300)
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
         ctr = EvalCounter()
-        alone = run_steps([chains(k)], ls, [ctr], 300)[0]
+        alone = run_steps(_Requests(request(k)), ls, [ctr], 300)[0]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, group[k]))
         assert ctr.count == ctrs[k].count == sum(calls.sizes) < 299  # some rounds were free
         solo.append(len(calls.sizes))
     assert n_group == max(solo)
-    # a group's chains share one partition, and a run's population fits its n rows
+    # a group's chains share one partition, and a run's population fills its n rows
     with pytest.raises(ConfigurationError, match="share"):
-        run_steps([chains(0), request(np.zeros((1, 2)), RandomStream(1), make_halfspace(1, 2))],
-                  ls, ctrs[:2], 300)
-    with pytest.raises(ConfigurationError, match="exceeds the 299 rows"):
-        run_steps([chains(0)], ls, [EvalCounter()], 299)
+        run_steps(_Requests(request(0), request(1, make_halfspace(1, 2))), ls, ctrs[:2], 300)
+    for n in (299, 301):
+        with pytest.raises(ConfigurationError, match=f"300 does not fill the {n} rows"):
+            run_steps(_Requests(request(0)), ls, [EvalCounter()], n)
 
 
 @pytest.mark.parametrize("n, sizes", [(26300, [26300] * 3), (13000, [26000, 13000])])
@@ -207,6 +207,7 @@ def test_large_populations_run_in_small_groups(monkeypatch, n, sizes):
     _assert_matches_solo(cfg, results)
 
 
+@pytest.mark.jobs
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("mode, fault", [
     ("nan", "non-finite"), ("raise", "RuntimeError: solver diverged"), ("shape", "shape (")
@@ -233,6 +234,7 @@ def test_faults_fail_only_the_runs_at_fault(mode, fault, jobs):
         assert _fields(res) == _fields(solo)
 
 
+@pytest.mark.jobs
 @pytest.mark.filterwarnings("ignore:bin with probability")
 def test_mixed_group_matches_solo_runs():
     # one group of 12 dss runs: some converge, some hit max_levels, some
@@ -377,15 +379,18 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     _assert_matches_solo(cfg, results)
 
 
-class _OneRequest:
-    """A stepper whose runs bring the chains of one batched request at the start."""
+class _Requests:
+    """A stepper whose runs bring the chains of the given requests at the start,
+    each request the next runs in order."""
 
-    def __init__(self, request: ChainRequest):
-        self.request, self.results = request, [None] * request.n_seeds.size
+    def __init__(self, *requests: ChainRequest):
+        self.requests = requests
+        self.results = [None] * sum(r.n_seeds.size for r in requests)
 
     def send(self, ready):
-        if ready and ready[0][1] is None:
-            return [(list(range(len(self.results))), self.request)]
+        if ready[0][1] is None:
+            runs = iter(range(len(self.results)))
+            return [([next(runs) for _ in r.n_seeds], r) for r in self.requests]
         for k, population in ready:
             self.results[k] = tuple(a.copy() for a in population)
         return []
@@ -400,7 +405,8 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
     rng = np.random.default_rng(12)
     seeds = [rng.standard_normal((m, 2)) for m in (7, n, 11)]
     gvals = [make_piecewise_linear().evaluator(p) for p in seeds]
-    counts = [np.array([5, 5, 4, 4, 4, 4, 4]), np.ones(n, np.int64), np.full(11, 2)]
+    counts = [np.array([5, 5, 4, 4, 4, 4, 4]), np.ones(n, np.int64),
+              np.r_[np.full(8, 3), np.full(3, 2)]]
     active = np.array([[True, True], [True, False], [False, True]])
     gamma = np.where(active, [[g.max() + 0.5] * 2 for g in gvals], -np.inf)
     cfg = McmcConfig(0.7)
@@ -411,7 +417,7 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
         [RandomStream(13, k) for k in range(3)], cfg, part,
     )
     ctrs = [EvalCounter() for _ in range(3)]
-    group = run_steps(_OneRequest(request), ls, ctrs, n)
+    group = run_steps(_Requests(request), ls, ctrs, n)
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
