@@ -8,11 +8,12 @@ per-level diagnostics, and the exact number of g-evaluations spent.
 One loop (``kernels.run_steps``) advances the estimators, alone for
 ``run_mcs``, ``run_ss`` and ``run_dss`` and in groups for the replicate
 harness, whose runs share each step's g-call and chain slab. It drives
-one kind of client, a stepper for a whole group: ``McsGroup`` for MCS,
-whose runs request their next chunk of points each step, and
-``DssGroup`` for SS and dSS, which share one level loop and whose runs
-that end a level at the same step share one threshold update and one
-handoff of their seeds to the chain slab.
+one kind of client, a stepper for a whole group, which holds the group's
+fixed state and requests only what changes: ``McsGroup`` for MCS, whose
+runs ask for a count of points each step, and ``DssGroup`` for SS and
+dSS, which share one level loop and whose runs that end a level at the
+same step share one threshold update and one handoff of their seeds to
+the chain slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -121,34 +122,32 @@ def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
 def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0, run as
     a :class:`McsGroup` of one."""
-    ctr = EvalCounter()
-    return run_alone(McsGroup(ls, n, [stream], [ctr]), ls, ctr, n)
+    return run_alone(McsGroup(ls, n, [stream]))
 
 
 class McsGroup:
     """:func:`run_mcs` for a group of runs, as the stepper :func:`kernels.run_steps` drives.
 
-    Run k draws from ``streams[k]`` and reports the count of ``ctrs[k]``.
-    Each step, every live run draws its next chunk of at most
-    ``_MCS_CHUNK`` points from its own stream, and the chunks go to g as
-    one request.
+    Run k draws from ``streams[k]`` and counts its evaluations on its own
+    ``ctrs[k]``. Each step, every live run requests its next chunk of at
+    most ``_MCS_CHUNK`` points, which the lockstep loop draws from the
+    run's stream and evaluates in one g-call for the group.
     """
 
-    def __init__(self, ls: LimitState, n: int, streams: list[RandomStream],
-                 ctrs: list[EvalCounter]):
+    def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
         if n < 1:
             raise ConfigurationError("Monte Carlo needs at least 1 sample")
-        self.ls, self.n, self.streams, self.ctrs = ls, n, streams, ctrs
-        self.done, self.chunks = 0, {}  # points drawn by each live run; its last chunk
+        self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
+        self.done = 0  # points drawn by each live run
         self.fail_pts: list[list] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
 
     def send(self, ready: list[tuple]) -> list[tuple]:
-        """Take the g-values of each ready run's last chunk, ``None`` at the
-        start; return the runs' next chunks, or end the runs once all are drawn."""
-        for k, gv in ready:
-            if gv is not None:
-                self.fail_pts[k].append(self.chunks[k][gv <= 0.0])
+        """Take each ready run's last chunk and its g-values, ``None`` at the
+        start; request the runs' next chunks, or end the runs once all are drawn."""
+        if ready[0][1] is not None:
+            for k, (pts, gv) in ready:
+                self.fail_pts[k].append(pts[gv <= 0.0])
         ks = [k for k, _ in ready]
         if self.done == self.n:
             for k in ks:
@@ -156,11 +155,7 @@ class McsGroup:
             return []
         size = min(_MCS_CHUNK, self.n - self.done)
         self.done += size
-        pts = np.empty((len(ks), size, self.ls.dimension))
-        for k, out in zip(ks, pts):
-            self.streams[k].standard_normal(out=out)
-        self.chunks = dict(zip(ks, pts))
-        return [(ks, pts)]
+        return [(ks, (len(ks), size))]
 
     def _finish(self, k: int) -> None:
         fail = np.vstack(self.fail_pts[k])
@@ -193,12 +188,10 @@ def run_ss(
     the last level record counts the failing points as its seeds.
     Without a ``stream`` the run draws from ``RandomStream(0)``.
     """
-    ctr = EvalCounter()
     stream = RandomStream(0) if stream is None else stream
     # SS has no stop tolerance: any positive eps_tol
-    group = DssGroup(ls, make_single_bin(ls.dimension), n, rho, mcmc, 1.0, max_levels,
-                     [stream], [ctr], "ss")
-    return run_alone(group, ls, ctr, n)
+    return run_alone(DssGroup(ls, make_single_bin(ls.dimension), n, rho, mcmc, 1.0,
+                              max_levels, [stream], "ss"))
 
 
 def run_dss(
@@ -230,19 +223,19 @@ def run_dss(
     A level costs O(n log n) whatever the number of bins: all bins'
     quantiles come from one sort of the population.
     """
-    ctr = EvalCounter()
     stream = RandomStream(0) if stream is None else stream
-    group = DssGroup(ls, partition, n, rho, mcmc, eps_tol, max_levels, [stream], [ctr])
-    return run_alone(group, ls, ctr, n)
+    return run_alone(DssGroup(ls, partition, n, rho, mcmc, eps_tol, max_levels, [stream]))
 
 
 class DssGroup:
     """:func:`run_dss` for a group of runs, as the stepper :func:`kernels.run_steps` drives;
     with ``algorithm="ss"`` and a single bin, :func:`run_ss`.
 
-    Run k draws from ``streams[k]`` and reports the count of ``ctrs[k]``.
-    The runs whose populations come back at one step share one level
-    update: one bin count and one :func:`binned_quantiles` over the key
+    Run k draws from ``streams[k]`` and counts on its own ``ctrs[k]``. Its
+    level 0 is ``n`` points that the lockstep loop draws from its stream,
+    its later levels are populations of the chain slab. The runs whose
+    populations come back at one step share one level update: one bin
+    count and one :func:`binned_quantiles` over the key
     ``run * J + bin`` (a bin's quantile depends on its own values only,
     so each run gets its own bit for bit), one mask each to finish,
     starve and seed bins, one pass over the bins that finish or starve,
@@ -256,7 +249,7 @@ class DssGroup:
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
                  mcmc: McmcConfig | None, eps_tol: float, max_levels: int,
-                 streams: list[RandomStream], ctrs: list[EvalCounter], algorithm: str = "dss"):
+                 streams: list[RandomStream], algorithm: str = "dss"):
         if n < 2:
             name = "subset simulation" if algorithm == "ss" else "directional subset simulation"
             raise ConfigurationError(f"{name} needs at least 2 samples per level")
@@ -273,7 +266,8 @@ class DssGroup:
             )
         self.ls, self.partition, self.n, self.rho = ls, partition, n, rho
         self.mcmc, self.eps_tol, self.max_levels = mcmc or McmcConfig(), eps_tol, max_levels
-        self.streams, self.ctrs, self.p0 = streams, ctrs, partition.probs
+        self.streams, self.ctrs = streams, [EvalCounter() for _ in streams]
+        self.p0 = partition.probs
         self.algorithm = algorithm
         shape = (len(streams), partition.n_bins)
         self.gamma = np.full(shape, np.inf)
@@ -289,27 +283,22 @@ class DssGroup:
         self.fail_pts: list[list] = [[] for _ in streams]
         self.records: list[list] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
-        self.level0: np.ndarray | None = None
         self.rho_pow = np.ones(1)  # see _powers
         self.bin_offsets = (np.arange(len(streams)) * partition.n_bins)[:, None]
 
     def send(self, ready: list[tuple]) -> list[tuple]:
-        """Take the level-0 g-values or the new population of each ready run,
-        ``None`` at the start; return the requests of the runs that go on."""
+        """Take the new population of each ready run, ``None`` at the start,
+        when each requests its level-0 points; return the requests of the runs that go on."""
         ks = [k for k, _ in ready]
-        if ready[0][1] is None:  # the start: each run draws its level-0 points
-            self.level0 = np.empty((len(ks), self.n, self.ls.dimension))
-            for k in ks:
-                self.streams[k].standard_normal(out=self.level0[k])
-            return [(ks, self.level0)]
         shape = (len(ks), self.n)
-        if self.level0 is not None:  # the level-0 g-values of all runs come back at one step
-            pts, self.level0 = self.level0[ks], None
-            bins = self.partition.classify(pts.reshape(-1, pts.shape[2])).reshape(shape)
-            return self._levels(ks, pts, _stacked([v for _, v in ready], shape), bins)
-        pts, gv, bins = zip(*(v for _, v in ready))
-        return self._levels(ks, _stacked(pts, (*shape, -1)), _stacked(gv, shape),
-                            _stacked(bins, shape))
+        if ready[0][1] is None:
+            return [(ks, shape)]
+        pts, gv, *bins = zip(*(v for _, v in ready))
+        pts = _stacked(pts, (*shape, -1))
+        # level 0's points come back without bins, and all runs' at one step
+        bins = (_stacked(bins[0], shape) if bins
+                else self.partition.classify(pts.reshape(-1, pts.shape[2])).reshape(shape))
+        return self._levels(ks, pts, _stacked(gv, shape), bins)
 
     def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:
         """End a level of runs ``ks`` from their populations, stacked run by run;
@@ -373,8 +362,7 @@ class DssGroup:
         streams = [self.streams[k] for k in going.tolist()]
         return [(going, ChainRequest(
             pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at), m,
-            stacked_residual_resample(m, self.n, streams), table[go], streams, self.mcmc,
-            self.partition,
+            stacked_residual_resample(m, self.n, streams), table[go],
         ))]
 
     def _powers(self, top: int) -> np.ndarray:

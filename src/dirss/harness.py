@@ -38,7 +38,7 @@ from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run
 )
 from .gaussian import RandomStream
 from .kernels import McmcConfig, run_steps
-from .limitstate import EvalCounter, LimitState, get_problem, problem_factory, register_problem
+from .limitstate import LimitState, get_problem, problem_factory, register_problem
 from .partition import Partition, from_spec, make_single_bin
 
 ALGORITHMS = ("mcs", "ss", "dss")
@@ -168,15 +168,14 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     ls = build_problem(cfg)
     part = (build_partition(cfg, ls.dimension) if cfg.algorithm == "dss"
             else make_single_bin(ls.dimension))
-    ctrs = [EvalCounter() for _ in stream_ids]
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
-        steps = McsGroup(ls, cfg.n, streams, ctrs)
+        steps = McsGroup(ls, cfg.n, streams)
     else:  # SS is dSS with a single bin
         steps = DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr), cfg.eps_tol,
-                         cfg.max_levels, streams, ctrs, cfg.algorithm)
+                         cfg.max_levels, streams, cfg.algorithm)
 
-    done = run_steps(steps, ls, ctrs, cfg.n)
+    done = run_steps(steps)
     return [_failed_run(cfg, ls, part, r) if isinstance(r, EvaluationError) else r for r in done]
 
 
@@ -243,8 +242,8 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
-    if not pf_ref > 0.0:
-        raise ConfigurationError("reference probability must be positive")
+    if not 0.0 < pf_ref < math.inf:
+        raise ConfigurationError(f"reference probability must be positive and finite, got {pf_ref}")
     failed = sum(r.status == "failed" for r in results)
     capped = sum(r.status == "max_levels" for r in results)
     used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]

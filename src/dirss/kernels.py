@@ -61,8 +61,8 @@ def propagate_chains(
     a rejected step repeats the current state. The output population has
     exactly ``offspring.sum()`` members, each within its bin's threshold.
     The level's normals come from one draw of ``stream``; each round
-    evaluates its proposals in open bins on ``ls`` in one g-call, counted
-    by ``ctr``: this is a :class:`ChainRequest` of one run, driven by
+    evaluates its proposals in open bins on ``ls`` in one g-call, added
+    to ``ctr``: this is a :class:`ChainRequest` of one run, driven by
     :func:`run_steps` as a group's are. Chains that take no step return
     at once, without a draw or a g-call.
 
@@ -78,15 +78,20 @@ def propagate_chains(
         raise ConfigurationError("at least one seed needs a positive offspring count")
     counts = offspring[keep]
     request = ChainRequest(seed_points[keep], seed_gvals[keep], seed_bins[keep],
-                           np.array([counts.size]), counts, gamma[None], [stream], cfg, partition)
-    return run_alone(_Chains(request), ls, ctr, int(counts.sum()))
+                           np.array([counts.size]), counts, gamma[None])
+    chains = _Chains(request, ls, int(counts.sum()), partition, cfg, stream)
+    try:
+        return run_alone(chains)
+    finally:
+        ctr.add(chains.ctrs[0].count)
 
 
 class _Chains:
     """The stepper of :func:`propagate_chains`: one run that brings one request."""
 
-    def __init__(self, request):
-        self.request, self.results = request, [None]
+    def __init__(self, request, ls, n, partition, mcmc, stream):
+        self.request, self.ls, self.n, self.partition, self.mcmc = request, ls, n, partition, mcmc
+        self.streams, self.ctrs, self.results = [stream], [EvalCounter()], [None]
 
     def send(self, ready: list[tuple]) -> list[tuple]:
         ((_, self.results[0]),) = ready  # None at the start, then the population
@@ -98,12 +103,13 @@ class ChainRequest:
     """The Markov chains of a level of one or more runs, as a stepper requests
     them to get each run's new population back.
 
-    The seeds are stacked run by run: run i brings the next ``n_seeds[i]``
-    (at least 1) of ``points``, ``gvals`` and ``bins``, each with its
-    offspring count (at least 1) in ``counts``, draws from ``streams[i]``
-    and accepts by row i of ``gamma``, the ``(runs, J)`` threshold table,
-    -inf for a closed bin. A run whose counts are all 1 takes no chain
-    step: its seeds are its population.
+    Only the level's data: the stepper holds the partition, MCMC settings
+    and streams. The seeds are stacked run by run: run i brings the next
+    ``n_seeds[i]`` (at least 1) of ``points``, ``gvals`` and ``bins``, each
+    with its offspring count (at least 1) in ``counts``, and accepts by row
+    i of ``gamma``, the ``(runs, J)`` threshold table, -inf for a closed
+    bin. A run whose counts are all 1 takes no chain step: its seeds are
+    its population.
     """
 
     points: np.ndarray
@@ -112,48 +118,51 @@ class ChainRequest:
     n_seeds: np.ndarray
     counts: np.ndarray
     gamma: np.ndarray
-    streams: list[RandomStream]
-    cfg: McmcConfig
-    partition: Partition
 
 
 class _Lockstep:
     """A group of runs in lockstep: what they wait on this step, their chains in one slab.
 
-    Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: the
-    population its chains write, each chain's state being its last
-    output, and its level's normals in draw order, which its rounds take
-    after its cursor, chain by chain, so each run draws exactly what it
-    draws alone. The runs of a :class:`ChainRequest` enter their chains
-    with one write of each slab array; only their normal draws stay run
-    by run. A round of every run's chains is one proposal expression,
-    one ``classify``, one lookup in the flat ``(runs*J)`` threshold table,
-    -inf for a closed bin, one write and one accept, over the chains that
-    have steps left.
+    The group's fixed state is read off its stepper (see :func:`run_steps`),
+    and the slab is made when the first chains arrive. Run k owns rows
+    ``[k*n, (k+1)*n)`` of each slab array: the population its chains
+    write, each chain's state being its last output, and its level's
+    normals in draw order, which its rounds take after its cursor, chain
+    by chain, so each run draws exactly what it draws alone. The runs of
+    a :class:`ChainRequest` enter their chains with one write of each
+    slab array; only their normal draws stay run by run. A round of every
+    run's chains is one proposal expression, one ``classify``, one lookup
+    in the flat ``(runs*J)`` threshold table, -inf for a closed bin, one
+    write and one accept, over the chains that have steps left.
     """
 
-    def __init__(self, runs: int, n: int):
-        self.runs, self.n, self.cfg = runs, n, None  # the slab is made for the first chains
-        self.waiting = np.zeros(runs, dtype=bool)
+    def __init__(self, stepper):
+        self.stepper, self.runs, self.n = stepper, len(stepper.streams), stepper.n
+        self.partition = None  # the slab is made for the first chains
+        self.waiting = np.zeros(self.runs, dtype=bool)
         self.queue: list[tuple] = []  # (points, runs, point counts, chains round or None)
         # the rows of the chains with steps left, in order; run k's start at k*n
-        self.live, self.bounds = np.zeros(0, np.int64), np.arange(runs + 1) * n
-        self.ended: list[tuple] = []  # runs whose chains took no step, for propose
+        self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
 
-    def add(self, ks, want) -> None:
-        """Enter the chains of runs ``ks``, or queue their points, ``want[i]`` run ``ks[i]``'s."""
+    def add(self, ks, want) -> list[tuple]:
+        """Enter the chains of runs ``ks``, or draw and queue their points;
+        return the runs whose chains take no step, with their populations."""
         if isinstance(want, ChainRequest):
-            self.enter(np.asarray(ks), want)
-        else:  # a (runs, N, dim) array
-            runs, size, dim = want.shape
-            self.queue.append((want.reshape(-1, dim), ks, [size] * runs, None))
+            return self.enter(np.asarray(ks), want)
+        runs, size = want  # each run draws size points from its own stream
+        points = np.empty((runs, size, self.stepper.ls.dimension))
+        for k, out in zip(ks, points):
+            self.stepper.streams[k].standard_normal(out=out)
+        self.queue.append((points.reshape(runs * size, -1), ks, [size] * runs, None))
+        return []
 
-    def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
+    def enter(self, ks: np.ndarray, want: ChainRequest) -> list[tuple]:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
-        array for all, and draw each run's normals from its own stream."""
-        if self.cfg is None:
-            self.cfg, self.partition, self.n_bins = want.cfg, want.partition, want.partition.n_bins
-            self.scale = math.sqrt(1.0 - want.cfg.corr**2)
+        array for all, and draw each run's normals from its own stream; return
+        the runs whose chains take no step, with their seeds as their populations."""
+        if self.partition is None:
+            self.partition, self.corr = self.stepper.partition, self.stepper.mcmc.corr
+            self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
             rows, dim = self.runs * self.n, want.points.shape[1]
             self.out_p, self.eps = np.empty((2, rows, dim))
             self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
@@ -166,8 +175,6 @@ class _Lockstep:
             # its chains took this level, its first table entry
             self.cursor, self.stop, self.rounds = np.zeros((3, self.runs), np.int64)
             self.tables = np.arange(self.runs) * self.n_bins
-        elif want.partition is not self.partition or want.cfg != self.cfg:
-            raise ConfigurationError("the runs of a group must share partition and MCMC settings")
         if want.gamma.shape != (ks.size, self.n_bins):
             raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
                                      f"fit {ks.size} runs of {self.n_bins} bins")
@@ -191,11 +198,10 @@ class _Lockstep:
         self.gamma.reshape(self.runs, -1)[ks] = want.gamma
         self.live = np.concatenate((self.live, chain[counts > 1]))
         self.live.sort(kind="stable")  # a merge of sorted runs of rows
-        for k, stream, b, s in zip(ks.tolist(), want.streams, base.tolist(), steps.tolist()):
+        for k, b, s in zip(ks.tolist(), base.tolist(), steps.tolist()):
             if s:
-                stream.standard_normal(out=self.eps[b : b + s])
-            else:
-                self.ended.append(self._population(k))
+                self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
+        return [self._population(k) for k in ks[steps == 0].tolist()]
 
     def _population(self, k: int) -> tuple:
         # a run whose level ended gets views of its rows, valid until its next request
@@ -206,10 +212,9 @@ class _Lockstep:
         """Queue a round of proposals of each run whose chains do not wait on g yet.
 
         A run with no proposal in an open bin takes its round at once and
-        proposes again, as alone. Returns the runs whose level ended so, and
-        those entered since the last call whose chains took no step.
+        proposes again, as alone. Returns the runs whose level ended so.
         """
-        ended, self.ended = self.ended, []
+        ended = []
         while self.live.size:
             rows = self.live
             if np.count_nonzero(self.waiting):
@@ -222,7 +227,7 @@ class _Lockstep:
             at = self.start[rows] + self.rounds.repeat(cnt)
             draw = (self.cursor - first[:-1]).repeat(cnt) + np.arange(rows.size)
             self.cursor += cnt
-            prop = (self.cfg.corr * self.out_p.take(at - 1, axis=0)
+            prop = (self.corr * self.out_p.take(at - 1, axis=0)
                     + self.scale * self.eps.take(draw, axis=0))
             pbins = self.partition.classify(prop)
             gamma = self.gamma[self.tables.repeat(cnt) + pbins]
@@ -247,9 +252,10 @@ class _Lockstep:
                 break
         return ended
 
-    def evaluate(self, ls: LimitState, ctrs: list[EvalCounter]) -> tuple[np.ndarray, dict]:
+    def evaluate(self) -> tuple[np.ndarray, dict]:
         """g-values of the queued points, from one g-call if it succeeds, else
         run by run; a run whose points make g fail maps to its error (its values unset)."""
+        ls, ctrs = self.stepper.ls, self.stepper.ctrs
         points = [q[0] for q in self.queue]
         points = np.concatenate(points) if len(points) > 1 else points[0]
         owners = [(k, size) for q in self.queue for k, size in zip(q[1], q[2])]
@@ -271,14 +277,14 @@ class _Lockstep:
         return gv, failed
 
     def accept(self, gv: np.ndarray) -> list[tuple]:
-        """Hand the queued points their g-values: ``(run, values)`` for plain
-        points, ``(run, population)`` for each run whose level ended."""
+        """Hand the queued points their g-values: ``(run, (points, gvals))`` for
+        drawn points, ``(run, population)`` for each run whose level ended."""
         ended, a = [], 0
         for points, owners, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
-            if chains is None:
-                ended += zip(owners, g.reshape(len(owners), -1))
+            if chains is None:  # equal chunks of drawn points, run by run
+                ended += zip(owners, zip(np.split(points, len(owners)), np.split(g, len(owners))))
                 continue
             rows, at, slots, pbins, gamma, stepped = chains
             ended += self._advance(rows, at, stepped)
@@ -305,47 +311,51 @@ class _Lockstep:
         return [self._population(k) for k in done]
 
     def drop(self, k: int) -> None:
-        if self.cfg is not None:  # forget run k's chains
-            self.live = self.live[self.live // self.n != k]
+        """Forget run k's chains."""
+        self.live = self.live[self.live // self.n != k]
 
 
-def run_steps(steps, ls: LimitState, ctrs: list[EvalCounter], n: int) -> list:
-    """Drive the ``len(ctrs)`` runs of a group stepper in lockstep and return their results.
+def run_steps(steps) -> list:
+    """Drive the runs of a group stepper in lockstep and return their results.
 
-    The stepper's ``send`` takes ``(run, value)`` pairs of the runs that
-    are ready, ``None`` for each at the start, and returns ``(runs,
-    request)`` pairs, ``runs`` a list: a ``(len(runs), N, dim)`` array of
-    points, whose g-values are each run's next value, or a
+    The stepper holds the group: the problem ``ls``, the population size
+    ``n``, each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and,
+    if it requests chains, their ``partition`` and ``mcmc``. Its ``send``
+    takes ``(run, value)`` pairs of the runs that are ready, ``None`` for
+    each at the start, and returns ``(runs, request)`` pairs, ``runs`` a
+    list: a count ``(len(runs), size)``, each run's value then being
+    ``(points, gvals)`` of ``size`` points drawn from its stream, or a
     :class:`ChainRequest` of the runs, each filling ``n`` rows, whose new
-    populations are. A run that ends sets its entry of the stepper's
-    ``results``. A step makes one g-call (none without points) for every
-    run's points and every chain proposal in an open bin, each run
-    counting its own on its counter in ``ctrs``. A run whose chains take
-    no step, or no step that needs g, gets its population back within
-    the step, as often as it asks. A run whose own points make g fail
-    ends with the :class:`EvaluationError` as its result, and is not
-    sent again.
+    populations ``(points, gvals, bins)`` are. A run that ends sets its
+    entry of ``results``. A step makes one g-call (none without points)
+    for every run's points and every chain proposal in an open bin, each
+    run counting its own on its counter. A run whose chains take no step,
+    or no step that needs g, gets its population back within the step, as
+    often as it asks. A run whose own points make g fail ends with the
+    :class:`EvaluationError` as its result, and is not sent again.
     """
-    step = _Lockstep(len(ctrs), n)
-    ready: list[tuple] = [(k, None) for k in range(len(ctrs))]
+    step = _Lockstep(steps)
+    ready: list[tuple] = [(k, None) for k in range(step.runs)]
     while True:
-        for ks, want in steps.send(ready) if ready else ():
-            step.add(ks, want)
-        ready = step.propose()
+        # the values sent are let go before the requests take their memory
+        wants, ready = steps.send(ready) if ready else (), []
+        for ks, want in wants:
+            ready += step.add(ks, want)
+        ready += step.propose()
         if ready:
             continue
         if not step.queue:
             return steps.results
-        gv, failed = step.evaluate(ls, ctrs)
+        gv, failed = step.evaluate()
         ready = [(k, value) for k, value in step.accept(gv) if k not in failed]
         for k, exc in failed.items():
             steps.results[k] = exc
             step.drop(k)
 
 
-def run_alone(steps, ls: LimitState, ctr: EvalCounter, n: int):
-    """:func:`run_steps` for one run; an :class:`EvaluationError` is raised."""
-    out = run_steps(steps, ls, [ctr], n)[0]
+def run_alone(steps):
+    """:func:`run_steps` for a stepper of one run; an :class:`EvaluationError` is raised."""
+    out = run_steps(steps)[0]
     if isinstance(out, EvaluationError):
         raise out
     return out

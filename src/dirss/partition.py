@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -40,7 +39,6 @@ class Partition:
         return self.classify_batch(np.asarray(points, dtype=float))
 
 
-@cache  # one object per dimension: a group of SS runs shares its chain slab
 def make_single_bin(dimension: int) -> Partition:
     """The trivial partition: one bin covering the whole space."""
     if dimension < 1:
@@ -128,7 +126,12 @@ def make_orthants(dimension: int) -> Partition:
 
 
 def from_spec(kind: str, dimension: int, cuts=None, axis: int | None = None) -> Partition:
-    """Build a partition from its declarative description (CLI configs)."""
+    """Build a partition from its declarative description (CLI configs); a
+    ``cuts`` or ``axis`` that the kind does not use is an error, not dropped."""
+    for key, value, owner in (("cuts", cuts, "angular"), ("axis", axis, "halfspace")):
+        if value is not None and kind != owner:
+            raise ConfigurationError(f"{key!r} applies to the {owner} partition only, "
+                                     f"not to {kind!r}")
     if kind == "single":
         return make_single_bin(dimension)
     if kind == "angular":

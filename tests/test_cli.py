@@ -175,6 +175,8 @@ def test_config_validation_messages(tmp_path, capsys):
     ("cuts", [math.nan, 0.8], "'cuts' must be a list of numbers"),
     ("eps_tol", math.nan, "'eps_tol' must be a number"),
     ("rho", math.inf, "'rho' must be a number"),
+    # the case-1 cuts on four orthants: refused, not dropped
+    ("partition", "orthants", "'cuts' applies to the angular partition only"),
 ])
 def test_non_numeric_config_values_are_configuration_errors(tmp_path, capsys, key, value,
                                                              message):

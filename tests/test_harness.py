@@ -88,6 +88,21 @@ def test_config_validation_rejects_bad_values():
         validate_config(ExperimentConfig(**{**base, "max_levels": 0}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "problem": "unknown_thing"}))
+    # a partition key that the dss partition does not use is not dropped
+    dss = {**base, "algorithm": "dss", "n": 200}
+    for keys, message in [
+        ({"partition": "orthants", "cuts": (-2.34, 0.8), "axis": 1}, "'cuts' applies"),
+        ({"partition": "orthants", "axis": 1}, "'axis' applies"),
+        ({"partition": "halfspace", "axis": 1, "cuts": (-2.34, 0.8)}, "'cuts' applies"),
+        ({"partition": "angular", "cuts": (-2.34, 0.8), "axis": 2}, "'axis' applies"),
+        ({"partition": "single", "cuts": (-2.34, 0.8)}, "'cuts' applies"),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            validate_config(ExperimentConfig(**{**dss, **keys}))
+    # SS and MCS use no partition: their configs may carry dSS keys
+    for algorithm in ("ss", "mcs"):
+        validate_config(ExperimentConfig(**{**base, "algorithm": algorithm,
+                                            "partition": "orthants", "cuts": (-2.34, 0.8)}))
 
 
 def test_config_warns_on_likely_starvation():
@@ -159,7 +174,7 @@ def test_summarize_without_usable_runs_reports_nan():
     assert s.mean_evals == 30.0
     with pytest.raises(ConfigurationError):
         summarize([], 1e-4)
-    for pf_ref in (0.0, math.nan):
+    for pf_ref in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="reference"):
             summarize([_fake_result(1e-4)], pf_ref)
 

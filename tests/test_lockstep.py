@@ -168,31 +168,32 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     calls = _Calls()
     ls = calls.wrap(LimitState("theta", 2, lambda pts: pts[:, 0]))
     region = np.array([[np.inf, -np.inf]])
-    part = make_halfspace(1, 2)  # the runs of a group share their partition
 
-    def request(k, part=part):
+    def request(k):
         # one chain of 300 states from run k's seed
         seed = np.array([[-0.1 * (k + 1), 0.0]])
         return ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([1]),
-                            np.array([300]), region, [RandomStream(10, k)], McmcConfig(0.5), part)
+                            np.array([300]), region)
 
-    ctrs = [EvalCounter() for _ in range(3)]
-    group = run_steps(_Requests(*[request(k) for k in range(3)]), ls, ctrs, 300)
+    def stepper(ks, n=300):
+        return _Requests(ls, n, make_halfspace(1, 2), McmcConfig(0.5),
+                         [RandomStream(10, k) for k in ks], *[request(k) for k in ks])
+
+    steps = stepper(range(3))
+    group, ctrs = run_steps(steps), steps.ctrs
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
-        ctr = EvalCounter()
-        alone = run_steps(_Requests(request(k)), ls, [ctr], 300)[0]
+        steps = stepper([k])
+        alone, ctr = run_steps(steps)[0], steps.ctrs[0]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, group[k]))
         assert ctr.count == ctrs[k].count == sum(calls.sizes) < 299  # some rounds were free
         solo.append(len(calls.sizes))
     assert n_group == max(solo)
-    # a group's chains share one partition, and a run's population fills its n rows
-    with pytest.raises(ConfigurationError, match="share"):
-        run_steps(_Requests(request(0), request(1, make_halfspace(1, 2))), ls, ctrs[:2], 300)
+    # a run's population fills its n rows
     for n in (299, 301):
         with pytest.raises(ConfigurationError, match=f"300 does not fill the {n} rows"):
-            run_steps(_Requests(request(0)), ls, [EvalCounter()], n)
+            run_steps(stepper([0], n))
 
 
 @pytest.mark.parametrize("n, sizes", [(26300, [26300] * 3), (13000, [26000, 13000])])
@@ -205,6 +206,23 @@ def test_large_populations_run_in_small_groups(monkeypatch, n, sizes):
     results = replicate(cfg)
     assert calls.sizes == sizes
     _assert_matches_solo(cfg, results)
+
+
+def test_grouped_monte_carlo_in_chunks_matches_solo_runs(monkeypatch):
+    # 3000 points in chunks of 700: four full chunks and a rest of 200, each
+    # drawn by every run of the group from its own stream and evaluated in one call
+    monkeypatch.setitem(limitstate._REGISTRY, "linear_10pct",
+                        partial(make_linear, 1.2816, 2, "linear_10pct"))  # pf = 0.1000
+    cfg = ExperimentConfig("linear_10pct", "mcs", 3000, runs=3, seed=7)
+    whole = [run_single(cfg, i) for i in range(cfg.runs)]
+    assert all(len(r.failure_points) > 200 for r in whole)
+    calls = _Calls()
+    monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
+        limitstate.get_problem(name)))
+    monkeypatch.setattr("dirss.estimators._MCS_CHUNK", 700)
+    results = replicate(cfg)
+    assert calls.sizes == [3 * 700] * 4 + [3 * 200]
+    assert [_fields(r) for r in results] == [_fields(r) for r in whole]
 
 
 @pytest.mark.jobs
@@ -362,11 +380,11 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     def logged_enter(self, ks, want):
         for k in ks.tolist():
             steps.setdefault(k, []).append(calls[0])
-        enter(self, ks, want)
+        return enter(self, ks, want)
 
-    def counted_evaluate(self, ls, ctrs):
+    def counted_evaluate(self):
         calls[0] += 1
-        return evaluate(self, ls, ctrs)
+        return evaluate(self)
 
     monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
     monkeypatch.setattr(kernels._Lockstep, "evaluate", counted_evaluate)
@@ -383,8 +401,9 @@ class _Requests:
     """A stepper whose runs bring the chains of the given requests at the start,
     each request the next runs in order."""
 
-    def __init__(self, *requests: ChainRequest):
-        self.requests = requests
+    def __init__(self, ls, n, partition, mcmc, streams, *requests: ChainRequest):
+        self.ls, self.n, self.partition, self.mcmc, self.streams = ls, n, partition, mcmc, streams
+        self.requests, self.ctrs = requests, [EvalCounter() for _ in streams]
         self.results = [None] * sum(r.n_seeds.size for r in requests)
 
     def send(self, ready):
@@ -414,10 +433,9 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
         np.concatenate(seeds), np.concatenate(gvals),
         np.concatenate([part.classify(p) for p in seeds]), np.array([7, n, 11]),
         np.concatenate(counts), gamma,
-        [RandomStream(13, k) for k in range(3)], cfg, part,
     )
-    ctrs = [EvalCounter() for _ in range(3)]
-    group = run_steps(_Requests(request), ls, ctrs, n)
+    steps = _Requests(ls, n, part, cfg, [RandomStream(13, k) for k in range(3)], request)
+    group, ctrs = run_steps(steps), steps.ctrs
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
@@ -428,7 +446,7 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
         assert ctr.count == ctrs[k].count == sum(calls.sizes)
         solo.append(len(calls.sizes))
         # each stream is left where the run alone leaves it
-        assert stream.standard_normal(3).tobytes() == request.streams[k].standard_normal(3).tobytes()
+        assert stream.standard_normal(3).tobytes() == steps.streams[k].standard_normal(3).tobytes()
     assert solo[1] == ctrs[1].count == 0
     assert group[1][0].tobytes() == seeds[1].tobytes()
     assert n_group == max(solo) > 0
@@ -449,9 +467,8 @@ def test_a_stalled_run_matches_its_solo_run_in_a_group():
 def test_finished_run_keeps_its_results_while_the_group_runs_on():
     ls, part = make_piecewise_linear(), make_angular_sectors_2d(CASE1)
     snapshots = {}
-    ctrs = [EvalCounter() for _ in range(5)]
     group = DssGroup(ls, part, 150, 0.2, McmcConfig(), 1e-3, 50,
-                     [RandomStream(4, k) for k in range(5)], ctrs)
+                     [RandomStream(4, k) for k in range(5)])
     send = group.send
 
     def snapshot(ready):
@@ -462,7 +479,7 @@ def test_finished_run_keeps_its_results_while_the_group_runs_on():
         return wants
 
     group.send = snapshot
-    results = run_steps(group, ls, ctrs, 150)
+    results = run_steps(group)
     assert len({r.levels for r in results}) > 1  # some runs finish while others go on
     assert all(r.failure_points.size for r in results)
     for k, res in enumerate(results):
