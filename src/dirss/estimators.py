@@ -382,8 +382,12 @@ class DssGroup:
                 self.outcomes[ks[r]][j] = BinOutcome(j, "starved", None, None, 0.0, b)
         fin = finish.any(axis=1).nonzero()[0]  # the runs that finish bins
         if fin.size:
-            fail, fin_key = gv[fin] <= 0.0, key[fin]
-            n_fail = np.bincount(fin_key[fail], minlength=counts.size).reshape(counts.shape)
+            # the failing points of the finished bins, gathered from all runs' flat
+            # population at once, run by run and bin by bin
+            idx = (finish.ravel()[key] & (gv <= 0.0)).ravel().nonzero()[0]
+            fail_key = key.ravel()[idx]
+            idx = idx[fail_key.argsort(kind="stable")]
+            n_fail = np.bincount(fail_key, minlength=counts.size).reshape(counts.shape)
             fr, fj = finish.nonzero()
             p_final = n_fail[fr, fj] / counts[fr, fj]
             pi_hat = p0[fj] * powers[t[fr]] * p_final
@@ -391,11 +395,8 @@ class DssGroup:
             for r, j, pf, pi in zip(fr.tolist(), fj.tolist(), p_final.tolist(), pi_hat.tolist()):
                 self.outcomes[ks[r]][j] = BinOutcome(j, "finished", levels[r], pf, pi, 0.0)
                 self.d[ks[r]] += pi
-            # failing points of the finished bins, run by run and bin by bin
-            idx = (finish.ravel()[fin_key] & fail).ravel().nonzero()[0]
-            idx = idx[fin_key.ravel()[idx].argsort(kind="stable")]
-            got = pts[fin].reshape(-1, pts.shape[2])[idx]
-            ends = np.bincount(idx // gv.shape[1], minlength=fin.size).cumsum().tolist()
+            got = pts.reshape(-1, pts.shape[2])[idx]
+            ends = np.bincount(idx // gv.shape[1], minlength=gv.shape[0])[fin].cumsum().tolist()
             for i, r in enumerate(fin.tolist()):
                 self.fail_pts[ks[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
         for r in (starve | finish).any(axis=1).nonzero()[0].tolist():

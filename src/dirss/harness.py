@@ -17,11 +17,8 @@ it ran in.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import pickle
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -199,21 +196,31 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     or a g that raised or returned bad values (see
     :class:`EvaluationError`). The batch itself never aborts on them.
     With ``jobs`` > 1 the groups, made no larger than needed to give
-    every worker runs, are distributed over a process pool, and each
-    worker registers the problem's factory, so that a problem registered
-    at run time reaches it too. Under a start method other than fork the
-    factory must pickle, or a :class:`ConfigurationError` is raised
-    before any run starts. Results are identical for any grouping and
-    any ``jobs``, because streams are pre-assigned and a run does not
-    depend on its group.
+    every worker runs, are distributed over a process pool of at most one
+    worker per group, and each worker registers the problem's factory, so
+    that a problem registered at run time reaches it too. Under a start
+    method other than fork the factory must pickle, or a
+    :class:`ConfigurationError` is raised before any run starts. The
+    pool's modules are imported only when a pool is made: a batch of one
+    group runs in this process, as with ``jobs=1``, and needs no picklable
+    factory.
+    Results are identical for any grouping and any ``jobs``, because
+    streams are pre-assigned and a run does not depend on its group.
     """
     validate_config(cfg)
     size = group_size(cfg, build_problem(cfg).dimension)
     if jobs > 1:
         size = min(size, -(-cfg.runs // jobs))
     groups = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
-    if jobs <= 1:
+    workers = min(jobs, len(groups))
+    if workers <= 1:
         return [r for g in groups for r in run_group(cfg, g)]
+    # imported here, not with the module: they cost every fresh process about
+    # 20 ms (2-core Xeon), and only a pool needs them
+    import multiprocessing
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+
     ctx, factory = multiprocessing.get_context(), problem_factory(cfg.problem)
     if (method := ctx.get_start_method()) != "fork":  # workers import dirss afresh
         try:
@@ -223,7 +230,8 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
                 f"problem {cfg.problem!r} cannot reach the worker processes of the {method!r} "
                 f"start method: its factory does not pickle ({exc})"
             ) from None
-    with ProcessPoolExecutor(jobs, ctx, initializer=register_problem,
+    # under fork, a pool starts all its workers at the first submit
+    with ProcessPoolExecutor(workers, ctx, initializer=register_problem,
                              initargs=(cfg.problem, factory)) as pool:
         return [r for rs in pool.map(partial(run_group, cfg), groups) for r in rs]
 

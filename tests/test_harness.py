@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import concurrent.futures
 import math
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +63,53 @@ def test_replicate_parallel_matches_sequential():
     a = replicate(SS_CFG)
     b = replicate(SS_CFG, jobs=3)
     assert [r.pf_hat for r in a] == [r.pf_hat for r in b]
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that starts no process: it records its size,
+    runs the initializer and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.jobs
+def test_replicate_starts_no_more_workers_than_groups(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    # a built-in problem, whose factory pickles under any start method
+    three = replicate(SS_CFG, jobs=8)
+    assert _InlinePool.sizes == [3]  # one group a run, one worker a group
+    one = dataclasses.replace(SS_CFG, runs=1)
+    alone = replicate(one, jobs=4)
+    assert _InlinePool.sizes == [3]  # a single group runs in this process
+    for batch, ref in ((three, replicate(SS_CFG)), (alone, replicate(one))):
+        for a, b in zip(batch, ref, strict=True):
+            for f in dataclasses.fields(RunResult):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x.tobytes() == y.tobytes() if f.name == "failure_points" else x == y
+
+
+def test_import_leaves_the_process_pool_stack_unloaded():
+    code = ("import sys, dirss, dirss.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_replicate_streams_by_run_index():
