@@ -28,6 +28,7 @@ with a single bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -135,8 +136,9 @@ class McsGroup:
     """
 
     def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
-        if n < 1:
-            raise ConfigurationError("Monte Carlo needs at least 1 sample")
+        if not isinstance(n, Integral) or n < 1:
+            raise ConfigurationError(f"Monte Carlo needs at least 1 sample, an integer count, "
+                                     f"got {n!r}")
         self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
         self.done = 0  # points drawn by each live run
         self.fail_pts: list[list] = [[] for _ in streams]
@@ -250,15 +252,17 @@ class DssGroup:
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
                  mcmc: McmcConfig | None, eps_tol: float, max_levels: int,
                  streams: list[RandomStream], algorithm: str = "dss"):
-        if n < 2:
+        if not isinstance(n, Integral) or n < 2:
             name = "subset simulation" if algorithm == "ss" else "directional subset simulation"
-            raise ConfigurationError(f"{name} needs at least 2 samples per level")
+            raise ConfigurationError(f"{name} needs at least 2 samples per level, an integer "
+                                     f"count, got {n!r}")
         if not 0.0 < rho < 1.0:
             raise ConfigurationError(f"level probability must lie in (0, 1), got {rho}")
         if not eps_tol > 0.0:
             raise ConfigurationError(f"eps_tol must be positive, got {eps_tol}")
-        if max_levels < 1:
-            raise ConfigurationError("max_levels must be at least 1")
+        if not isinstance(max_levels, Integral) or max_levels < 1:
+            raise ConfigurationError(
+                f"max_levels must be an integer of at least 1, got {max_levels!r}")
         if partition.dimension != ls.dimension:
             raise ConfigurationError(
                 f"partition dimension {partition.dimension} does not match "

@@ -21,6 +21,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -114,17 +115,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"unknown algorithm {cfg.algorithm!r} (known: {', '.join(ALGORITHMS)})"
         )
     ls = build_problem(cfg)
-    if cfg.n < 1 or (cfg.algorithm != "mcs" and cfg.n < 2):
-        raise ConfigurationError(f"sample count n={cfg.n} is too small")
+    least = 1 if cfg.algorithm == "mcs" else 2
+    if not isinstance(cfg.n, Integral) or cfg.n < least:
+        raise ConfigurationError(
+            f"sample count n={cfg.n!r} must be an integer of at least {least}")
     if not 0.0 < cfg.rho < 1.0:
         raise ConfigurationError(f"rho must lie in (0, 1), got {cfg.rho}")
     McmcConfig(cfg.mcmc_corr)
     if not cfg.eps_tol > 0.0:
         raise ConfigurationError(f"eps_tol must be positive, got {cfg.eps_tol}")
-    if cfg.max_levels < 1:
-        raise ConfigurationError("max_levels must be at least 1")
-    if cfg.runs < 1:
-        raise ConfigurationError(f"number of runs must be at least 1, got {cfg.runs}")
+    if not isinstance(cfg.max_levels, Integral) or cfg.max_levels < 1:
+        raise ConfigurationError(
+            f"max_levels must be an integer of at least 1, got {cfg.max_levels!r}")
+    if not isinstance(cfg.runs, Integral) or cfg.runs < 1:
+        raise ConfigurationError(
+            f"number of runs must be an integer of at least 1, got {cfg.runs!r}")
     RandomStream(cfg.seed)
     if cfg.algorithm == "dss":
         part = build_partition(cfg, ls.dimension)
@@ -206,7 +211,10 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     factory.
     Results are identical for any grouping and any ``jobs``, because
     streams are pre-assigned and a run does not depend on its group.
+    ``jobs`` must be a positive integer.
     """
+    if not isinstance(jobs, Integral) or jobs < 1:
+        raise ConfigurationError(f"jobs must be an integer of at least 1, got {jobs!r}")
     validate_config(cfg)
     size = group_size(cfg, build_problem(cfg).dimension)
     if jobs > 1:

@@ -129,19 +129,21 @@ class _Lockstep:
     write, each chain's state being its last output, and its level's
     normals in draw order, which its rounds take after its cursor, chain
     by chain, so each run draws exactly what it draws alone. The runs of
-    a :class:`ChainRequest` enter their chains with one write of each
-    slab array; only their normal draws stay run by run. A round of every
-    run's chains is one proposal expression, one ``classify``, one lookup
-    in the flat ``(runs*J)`` threshold table, -inf for a closed bin, one
-    write and one accept, over the chains that have steps left.
+    a :class:`ChainRequest` enter their chains, and their rows of the
+    threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
+    bin, with one write of each array; only their normal draws stay run
+    by run. A round of every run's chains is one proposal expression, one
+    ``classify``, one table lookup, one write and one accept. A chain
+    with steps left is in ``live`` or in the queue, waiting on g; a run's
+    level ends when none of its chains is left.
     """
 
     def __init__(self, stepper):
         self.stepper, self.runs, self.n = stepper, len(stepper.streams), stepper.n
         self.partition = None  # the slab is made for the first chains
-        self.waiting = np.zeros(self.runs, dtype=bool)
         self.queue: list[tuple] = []  # (points, runs, point counts, chains round or None)
-        # the rows of the chains with steps left, in order; run k's start at k*n
+        # the rows of the chains with steps left and no g-value pending, in order;
+        # run k's start at k*n
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
 
     def add(self, ks, want) -> list[tuple]:
@@ -167,14 +169,10 @@ class _Lockstep:
             self.out_p, self.eps = np.empty((2, rows, dim))
             self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
             self.out_g = np.empty(rows)
-            # per chain: the slot of its first step's output and of its last output
-            self.out_b, self.start, self.last = np.zeros((3, rows), np.int64)
-            # per run and bin: the threshold of an open bin, -inf for a closed one
-            self.gamma = np.empty(self.runs * self.n_bins)
-            # per run: the row of its next normal and past its last, the rounds
-            # its chains took this level, its first table entry
-            self.cursor, self.stop, self.rounds = np.zeros((3, self.runs), np.int64)
-            self.tables = np.arange(self.runs) * self.n_bins
+            # per chain: the slot of its next output and of its last output
+            self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
+            self.gamma = np.empty((self.runs, self.n_bins))
+            self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
         if want.gamma.shape != (ks.size, self.n_bins):
             raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
                                      f"fit {ks.size} runs of {self.n_bins} bins")
@@ -192,12 +190,11 @@ class _Lockstep:
         self.out_v[starts], self.out_g[starts] = points.view(self.out_v.dtype)[:, 0], want.gvals
         self.out_b[starts] = want.bins
         chain = np.arange(counts.size) + (base - firsts).repeat(m)
-        self.start[chain], self.last[chain] = starts + 1, starts + counts - 1
-        steps = self.n - m
-        self.cursor[ks], self.stop[ks], self.rounds[ks] = base, base + steps, 0
-        self.gamma.reshape(self.runs, -1)[ks] = want.gamma
+        self.next[chain], self.last[chain] = starts + 1, starts + counts - 1
+        self.cursor[ks], self.gamma[ks] = base, want.gamma
         self.live = np.concatenate((self.live, chain[counts > 1]))
         self.live.sort(kind="stable")  # a merge of sorted runs of rows
+        steps = self.n - m
         for k, b, s in zip(ks.tolist(), base.tolist(), steps.tolist()):
             if s:
                 self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
@@ -209,7 +206,7 @@ class _Lockstep:
         return k, (self.out_p[s], self.out_g[s], self.out_b[s])
 
     def propose(self) -> list[tuple]:
-        """Queue a round of proposals of each run whose chains do not wait on g yet.
+        """Queue a round of proposals of each run with chains in ``live``, and empty it.
 
         A run with no proposal in an open bin takes its round at once and
         proposes again, as alone. Returns the runs whose level ended so.
@@ -217,39 +214,33 @@ class _Lockstep:
         ended = []
         while self.live.size:
             rows = self.live
-            if np.count_nonzero(self.waiting):
-                rows = rows[~self.waiting[rows // self.n]]
-                if not rows.size:
-                    break
             first = rows.searchsorted(self.bounds)  # each run's first row in rows
             cnt = first[1:] - first[:-1]
-            # every chain of a run steps in each of the run's rounds
-            at = self.start[rows] + self.rounds.repeat(cnt)
+            at = self.next[rows]
             draw = (self.cursor - first[:-1]).repeat(cnt) + np.arange(rows.size)
             self.cursor += cnt
             prop = (self.corr * self.out_p.take(at - 1, axis=0)
                     + self.scale * self.eps.take(draw, axis=0))
             pbins = self.partition.classify(prop)
-            gamma = self.gamma[self.tables.repeat(cnt) + pbins]
+            gamma = self.gamma[rows // self.n, pbins]
             ok = (gamma > -np.inf).nonzero()[0]
             stepped = cnt.nonzero()[0]
             n_ok = ok.searchsorted(first)
             n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
             candidates = (at[ok], pbins[ok], gamma[ok])
-            if lazy := np.count_nonzero(idle):
+            self.live = rows[:0]
+            if np.count_nonzero(idle):
                 mine = idle.repeat(cnt[stepped])  # rows are sorted by run
-                ended += self._advance(rows[mine], at[mine], stepped[idle])
+                self.live, done = self._advance(rows[mine], at[mine], stepped[idle])
+                ended += done
                 rows, at = rows[~mine], at[~mine]
                 stepped, n_points = stepped[~idle], n_points[~idle]
-            self.waiting[stepped] = True
             if stepped.size:
                 self.queue.append(
                     (prop.take(ok, axis=0), stepped.tolist(), n_points.tolist(),
                      (rows, at, *candidates, stepped))
                 )
-            if not lazy:
-                break
         return ended
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
@@ -278,8 +269,9 @@ class _Lockstep:
 
     def accept(self, gv: np.ndarray) -> list[tuple]:
         """Hand the queued points their g-values: ``(run, (points, gvals))`` for
-        drawn points, ``(run, population)`` for each run whose level ended."""
-        ended, a = [], 0
+        drawn points, ``(run, population)`` for each run whose level ended;
+        put the chains of the others back in ``live``."""
+        ended, live, a = [], [], 0
         for points, owners, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
@@ -287,28 +279,32 @@ class _Lockstep:
                 ended += zip(owners, zip(np.split(points, len(owners)), np.split(g, len(owners))))
                 continue
             rows, at, slots, pbins, gamma, stepped = chains
-            ended += self._advance(rows, at, stepped)
+            left, done = self._advance(rows, at, stepped)
+            live.append(left)
+            ended += done
             hit = g <= gamma
             acc = slots[hit]
             self.out_v[acc] = points.view(self.out_v.dtype)[hit, 0]
             self.out_g[acc], self.out_b[acc] = g[hit], pbins[hit]
         self.queue = []
-        self.waiting[:] = False
+        if live:  # rounds of different runs: a merge of sorted rows
+            self.live = np.sort(np.concatenate(live), kind="stable") if len(live) > 1 else live[0]
         return ended
 
-    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> list[tuple]:
-        """Write each chain's state on (accepted moves overwrite it), and end finished levels."""
+    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> tuple:
+        """Write each chain's state on (accepted moves overwrite it); return the
+        chains with steps left, and the runs ``stepped`` none of whose chains is."""
         prev = at - 1
         for out in (self.out_v, self.out_g, self.out_b):
             out[at] = out[prev]
-        self.rounds[stepped] += 1
+        self.next[rows] = at + 1
         gone = at == self.last[rows]
-        if np.count_nonzero(gone):  # some chains took their last step
-            keep = np.ones(self.live.size, bool)
-            keep[self.live.searchsorted(rows[gone])] = False
-            self.live = self.live[keep]
-        done = stepped[self.cursor[stepped] == self.stop[stepped]].tolist()
-        return [self._population(k) for k in done]
+        if not np.count_nonzero(gone):  # every chain has steps left
+            return rows, []
+        left = rows[~gone]
+        first = left.searchsorted(self.bounds)
+        done = stepped[first[stepped + 1] == first[stepped]].tolist()
+        return left, [self._population(k) for k in done]
 
     def drop(self, k: int) -> None:
         """Forget run k's chains."""

@@ -146,10 +146,11 @@ def test_ss_input_validation():
         run_ss(get_problem("always_fail"), 100, rho=1.5, stream=RandomStream(0))
     with pytest.raises(ConfigurationError, match="eps_tol"):
         run_dss(get_problem("always_fail"), make_single_bin(2), 100, eps_tol=math.nan)
-    with pytest.raises(ConfigurationError, match="max_levels"):
-        run_ss(get_problem("always_fail"), 100, max_levels=0)
-    with pytest.raises(ConfigurationError, match="max_levels"):
-        run_dss(get_problem("always_fail"), make_single_bin(2), 100, max_levels=0)
+    for max_levels in (0, 4.5):  # a level cap of 4.5 is never reached
+        with pytest.raises(ConfigurationError, match="max_levels"):
+            run_ss(get_problem("always_fail"), 100, max_levels=max_levels)
+        with pytest.raises(ConfigurationError, match="max_levels"):
+            run_dss(get_problem("always_fail"), make_single_bin(2), 100, max_levels=max_levels)
 
 
 # ------------------------------------------------------------------- dSS

@@ -119,8 +119,12 @@ def test_replicate_streams_by_run_index():
 
 
 def test_replicate_rejects_zero_runs():
+    cfg = ExperimentConfig(problem="always_fail", algorithm="mcs", n=10, runs=2)
     with pytest.raises(ConfigurationError):
-        replicate(ExperimentConfig(problem="always_fail", algorithm="mcs", n=10, runs=0))
+        replicate(dataclasses.replace(cfg, runs=0))
+    for jobs in (0, -3, 2.5):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            replicate(cfg, jobs=jobs)
 
 
 def test_config_validation_rejects_bad_values():
@@ -136,8 +140,10 @@ def test_config_validation_rejects_bad_values():
             validate_config(ExperimentConfig(**{**base, "eps_tol": eps_tol}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "n": 1}))
-    with pytest.raises(ConfigurationError, match="max_levels"):
-        validate_config(ExperimentConfig(**{**base, "max_levels": 0}))
+    for key, value, message in [("max_levels", 0, "max_levels"), ("max_levels", 4.5, "max_levels"),
+                                ("n", 100.0, "n=100.0"), ("runs", 2.0, "runs")]:
+        with pytest.raises(ConfigurationError, match=message):
+            validate_config(ExperimentConfig(**{**base, key: value}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "problem": "unknown_thing"}))
     # a partition key that the dss partition does not use is not dropped

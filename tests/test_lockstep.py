@@ -146,13 +146,28 @@ def test_one_g_call_serves_a_group(monkeypatch):
     # 70 runs of n=500 in 2-D: one group, whose runs end their levels at different steps
     ExperimentConfig("piecewise_linear", "dss", 500, partition="angular", cuts=CASE1,
                      runs=70, seed=1),
+    # a run's level ends on a round with no point for g while other runs wait on g:
+    # its next level must join the same g-call
+    ExperimentConfig("piecewise_linear", "dss", 60, partition="halfspace", axis=2,
+                     runs=4, seed=2),
+    ExperimentConfig("piecewise_linear", "dss", 60, partition="halfspace", axis=2, rho=0.5,
+                     runs=4, seed=6),
 ])
 def test_a_group_makes_as_many_g_calls_as_its_longest_run(monkeypatch, cfg):
     # each step serves the next batch of every live run, whatever step it is at
-    calls = _Calls()
+    calls, evaluate = _Calls(), kernels._Lockstep.evaluate
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
         limitstate.get_problem(name)))
+    served: dict[int, list[int]] = {}  # run -> the group's g-calls that carry its points
+
+    def logged_evaluate(self):
+        for k in {k for q in self.queue for k in q[1]}:
+            served.setdefault(k, []).append(len(calls.sizes))
+        return evaluate(self)
+
+    monkeypatch.setattr(kernels._Lockstep, "evaluate", logged_evaluate)
     replicate(cfg)
+    monkeypatch.setattr(kernels._Lockstep, "evaluate", evaluate)
     group = len(calls.sizes)
     solo = []
     for i in range(cfg.runs):
@@ -160,6 +175,8 @@ def test_a_group_makes_as_many_g_calls_as_its_longest_run(monkeypatch, cfg):
         run_single(cfg, i)
         solo.append(len(calls.sizes))
     assert group == max(solo)
+    # no run skips a step: run i has points in the group's first solo[i] g-calls
+    assert [served[i] for i in range(cfg.runs)] == [list(range(c)) for c in solo]
 
 
 def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
