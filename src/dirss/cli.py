@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, check_open_interval
 from .estimators import RunResult, run_mcs
 from .gaussian import RandomStream
 from .harness import (
@@ -177,6 +177,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     validate_config(cfg)
+    if args.out is not None:  # made before any g-call, so that a bad path costs none
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_single(cfg, stream_id=0)
     print(f"problem={cfg.problem} algorithm={cfg.algorithm} n={cfg.n} seed={cfg.seed}")
     print(f"pf_hat = {result.pf_hat:.6e}")
@@ -192,7 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"unresolved_bound = {result.unresolved_bound:.3e}")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_levels_csv(out / "levels.csv", result)
         print(f"wrote {out / 'levels.csv'}")
     if result.status == "failed":
@@ -214,16 +215,14 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "no stored reference for this problem; pass --pf-ref to compute R"
         )
-    if not 0.0 < pf_ref < math.inf:
-        raise ConfigurationError(f"reference probability must be positive and finite, "
-                                 f"got {pf_ref}")
+    check_open_interval(pf_ref, "reference probability", math.inf)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before any g-call, so that a bad path costs none
     results = replicate(cfg, jobs=args.jobs)
     failed = [i for i, r in enumerate(results) if r.status == "failed"]
     if failed:
         print(f"{len(failed)} of {cfg.runs} runs failed; run {failed[0]}: "
               f"{results[failed[0]].reason}", file=sys.stderr)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = summarize(results, pf_ref)
     write_runs_csv(out / "runs.csv", results)
     if summary.runs_used == 0:

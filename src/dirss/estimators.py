@@ -27,12 +27,12 @@ with a single bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_open_interval
 from .gaussian import RandomStream
 from .kernels import (  # noqa: F401 - perfbench/spans.py patches names here
     ChainRequest,
@@ -136,9 +136,7 @@ class McsGroup:
     """
 
     def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
-        if not isinstance(n, Integral) or n < 1:
-            raise ConfigurationError(f"Monte Carlo needs at least 1 sample, an integer count, "
-                                     f"got {n!r}")
+        check_count(n, "n", unit=" sample")
         self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
         self.done = 0  # points drawn by each live run
         self.fail_pts: list[list] = [[] for _ in streams]
@@ -252,17 +250,10 @@ class DssGroup:
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
                  mcmc: McmcConfig | None, eps_tol: float, max_levels: int,
                  streams: list[RandomStream], algorithm: str = "dss"):
-        if not isinstance(n, Integral) or n < 2:
-            name = "subset simulation" if algorithm == "ss" else "directional subset simulation"
-            raise ConfigurationError(f"{name} needs at least 2 samples per level, an integer "
-                                     f"count, got {n!r}")
-        if not 0.0 < rho < 1.0:
-            raise ConfigurationError(f"level probability must lie in (0, 1), got {rho}")
-        if not eps_tol > 0.0:
-            raise ConfigurationError(f"eps_tol must be positive, got {eps_tol}")
-        if not isinstance(max_levels, Integral) or max_levels < 1:
-            raise ConfigurationError(
-                f"max_levels must be an integer of at least 1, got {max_levels!r}")
+        check_count(n, "n", 2, unit=" samples per level")
+        check_open_interval(rho, "rho")
+        check_open_interval(eps_tol, "eps_tol", math.inf)
+        check_count(max_levels, "max_levels")
         if partition.dimension != ls.dimension:
             raise ConfigurationError(
                 f"partition dimension {partition.dimension} does not match "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_count
 
 _UINT64_MAX = 2**64 - 1
 
@@ -35,11 +35,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if not isinstance(value, (int, np.integer)) or not 0 <= value <= _UINT64_MAX:
-                raise ConfigurationError(
-                    f"{name} must be an unsigned 64-bit integer, got {value!r}"
-                )
+        check_count(seed, "seed", 0, _UINT64_MAX)
+        check_count(stream_id, "stream_id", 0, _UINT64_MAX)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)

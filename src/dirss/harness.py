@@ -21,11 +21,10 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, check_count, check_open_interval
 from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run_dss here
     BinOutcome,
     DssGroup,
@@ -115,21 +114,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"unknown algorithm {cfg.algorithm!r} (known: {', '.join(ALGORITHMS)})"
         )
     ls = build_problem(cfg)
-    least = 1 if cfg.algorithm == "mcs" else 2
-    if not isinstance(cfg.n, Integral) or cfg.n < least:
-        raise ConfigurationError(
-            f"sample count n={cfg.n!r} must be an integer of at least {least}")
-    if not 0.0 < cfg.rho < 1.0:
-        raise ConfigurationError(f"rho must lie in (0, 1), got {cfg.rho}")
+    check_count(cfg.n, "n", 1 if cfg.algorithm == "mcs" else 2)
+    check_open_interval(cfg.rho, "rho")
     McmcConfig(cfg.mcmc_corr)
-    if not cfg.eps_tol > 0.0:
-        raise ConfigurationError(f"eps_tol must be positive, got {cfg.eps_tol}")
-    if not isinstance(cfg.max_levels, Integral) or cfg.max_levels < 1:
-        raise ConfigurationError(
-            f"max_levels must be an integer of at least 1, got {cfg.max_levels!r}")
-    if not isinstance(cfg.runs, Integral) or cfg.runs < 1:
-        raise ConfigurationError(
-            f"number of runs must be an integer of at least 1, got {cfg.runs!r}")
+    check_open_interval(cfg.eps_tol, "eps_tol", math.inf)
+    check_count(cfg.max_levels, "max_levels")
+    check_count(cfg.runs, "runs")
     RandomStream(cfg.seed)
     if cfg.algorithm == "dss":
         part = build_partition(cfg, ls.dimension)
@@ -213,8 +203,7 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     streams are pre-assigned and a run does not depend on its group.
     ``jobs`` must be a positive integer.
     """
-    if not isinstance(jobs, Integral) or jobs < 1:
-        raise ConfigurationError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    check_count(jobs, "jobs")
     validate_config(cfg)
     size = group_size(cfg, build_problem(cfg).dimension)
     if jobs > 1:
@@ -258,8 +247,7 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     """
     if not results:
         raise ConfigurationError("no runs to summarize")
-    if not 0.0 < pf_ref < math.inf:
-        raise ConfigurationError(f"reference probability must be positive and finite, got {pf_ref}")
+    check_open_interval(pf_ref, "reference probability", math.inf)
     failed = sum(r.status == "failed" for r in results)
     capped = sum(r.status == "max_levels" for r in results)
     used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, check_open_interval
 from .gaussian import RandomStream
 from .limitstate import EvalCounter, LimitState, evaluate_batch
 from .partition import Partition
@@ -34,8 +34,7 @@ class McmcConfig:
     corr: float = 0.8
 
     def __post_init__(self):
-        if not 0.0 < self.corr < 1.0:
-            raise ConfigurationError(f"mcmc corr must lie in (0, 1), got {self.corr}")
+        check_open_interval(self.corr, "mcmc corr")
 
 
 def propagate_chains(
@@ -406,8 +405,7 @@ def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.n
     ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``;
     its bins are then not checked again.
     """
-    if not 0.0 < rho < 1.0:
-        raise ConfigurationError(f"quantile order must lie in (0, 1), got {rho}")
+    check_open_interval(rho, "quantile order rho")
     values = np.asarray(values, dtype=float)
     bins = np.asarray(bins, dtype=np.int64)
     if values.ndim != 1 or bins.shape != values.shape:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, check_count
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,9 @@ class LimitState:
     name: str
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        check_count(self.dimension, "dimension")
 
 
 @dataclass
@@ -115,8 +118,6 @@ def make_beta_points() -> LimitState:
 
 def make_linear(beta: float, dimension: int = 1, name: str | None = None) -> LimitState:
     """g = beta - t1, whose failure probability is exactly Phi(-beta)."""
-    if dimension < 1:
-        raise ConfigurationError("dimension must be at least 1")
     return LimitState(
         name or f"linear_beta_{beta:g}", dimension, lambda pts: beta - pts[:, 0]
     )

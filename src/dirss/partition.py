@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class Partition:
 
 def make_single_bin(dimension: int) -> Partition:
     """The trivial partition: one bin covering the whole space."""
-    if dimension < 1:
-        raise ConfigurationError("dimension must be at least 1")
+    check_count(dimension, "dimension")
     return Partition(
         "single",
         dimension,
@@ -95,10 +94,7 @@ def make_halfspace(axis: int, dimension: int) -> Partition:
     Bin 0 is the negative side, bin 1 the non-negative side (boundary
     points go to bin 1).
     """
-    if not 1 <= axis <= dimension:
-        raise ConfigurationError(
-            f"axis must be between 1 and the dimension {dimension}, got {axis}"
-        )
+    check_count(axis, "axis", 1, dimension)
     col = axis - 1
     return Partition(
         "halfspace",
@@ -110,8 +106,7 @@ def make_halfspace(axis: int, dimension: int) -> Partition:
 
 def make_orthants(dimension: int) -> Partition:
     """All 2**n orthants by coordinate signs; boundary planes go to the >= side."""
-    if dimension < 1:
-        raise ConfigurationError("dimension must be at least 1")
+    check_count(dimension, "dimension")
     if dimension > 30:
         raise ConfigurationError(
             f"orthant partition of dimension {dimension} would need 2**{dimension} bins"

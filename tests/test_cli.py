@@ -74,10 +74,35 @@ def test_run_exits_1_on_bad_g(tmp_path, capsys):
     try:
         cfg = _write_config(tmp_path / "cfg.json", problem="nan_g")
         assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'nan_g'" in err and "non-finite" in err
+        # the reference command has no run to mark failed: the error ends it
+        assert main(["reference", "--problem", "nan_g", "--samples", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: ") and "non-finite" in err
     finally:
         limitstate._REGISTRY.pop("nan_g", None)
-    err = capsys.readouterr().err
-    assert "'nan_g'" in err and "non-finite" in err
+
+
+def test_unusable_out_fails_before_any_g_call(tmp_path, capsys):
+    # --out naming a file, or a path under one, cannot be made a directory:
+    # that ends the command before the runs, not after them
+    seen, g = [], make_piecewise_linear().evaluator
+    register_problem("pwl_count", lambda: LimitState(
+        "pwl_count", 2, lambda p: seen.append(len(p)) or g(p)))
+    not_a_dir = tmp_path / "not_a_dir"
+    not_a_dir.write_text("")
+    cfg = _write_config(tmp_path / "cfg.json", problem="pwl_count", algorithm="ss",
+                        partition="single", cuts=None, seed=1)
+    try:
+        for argv in (["replicate", "--config", str(cfg), "--runs", "20", "--out", str(not_a_dir),
+                      "--pf-ref", "3.19e-5"],
+                     ["run", "--config", str(cfg), "--out", str(not_a_dir / "sub")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("failure: ")
+    finally:
+        limitstate._REGISTRY.pop("pwl_count", None)
+    assert seen == []
 
 
 def test_replicate_reports_runs_whose_g_raised(tmp_path, capsys):
@@ -165,6 +190,10 @@ def test_config_validation_messages(tmp_path, capsys):
 
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
+    bad.write_text(json.dumps([{"problem": "beta_points", "algorithm": "ss", "n": 100}]))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("key, value, message", [
     ("n", "abc", "'n' must be an integer"),
@@ -177,6 +206,8 @@ def test_config_validation_messages(tmp_path, capsys):
     ("rho", math.inf, "'rho' must be a number"),
     # the case-1 cuts on four orthants: refused, not dropped
     ("partition", "orthants", "'cuts' applies to the angular partition only"),
+    ("n", True, "'n' must be an integer"),
+    ("problem", 3, "'problem' must be a string"),
 ])
 def test_non_numeric_config_values_are_configuration_errors(tmp_path, capsys, key, value,
                                                              message):
@@ -292,9 +323,10 @@ def test_replicate_jobs_flag_is_result_neutral(tmp_path):
 
 def test_replicate_zero_runs_is_usage_error(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
-    with pytest.raises(SystemExit) as exc:
-        main(["replicate", "--config", str(cfg), "--runs", "0", "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
+    for runs in ("0", "abc", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "--config", str(cfg), "--runs", runs, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 def test_replicate_nonbuiltin_problem_needs_reference(tmp_path, capsys):

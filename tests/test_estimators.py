@@ -146,7 +146,9 @@ def test_ss_input_validation():
         run_ss(get_problem("always_fail"), 100, rho=1.5, stream=RandomStream(0))
     with pytest.raises(ConfigurationError, match="eps_tol"):
         run_dss(get_problem("always_fail"), make_single_bin(2), 100, eps_tol=math.nan)
-    for max_levels in (0, 4.5):  # a level cap of 4.5 is never reached
+    with pytest.raises(ConfigurationError, match="eps_tol"):  # would stop at the first finished bin
+        run_dss(get_problem("always_fail"), make_single_bin(2), 100, eps_tol=math.inf)
+    for max_levels in (0, 4.5, True):  # a level cap of 4.5 is never reached
         with pytest.raises(ConfigurationError, match="max_levels"):
             run_ss(get_problem("always_fail"), 100, max_levels=max_levels)
         with pytest.raises(ConfigurationError, match="max_levels"):

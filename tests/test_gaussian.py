@@ -54,7 +54,8 @@ def test_kolmogorov_smirnov_against_standard_normal():
     assert result.pvalue > 0.001
 
 
-@pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -3), (2**64, 0), (0, 2**64)])
+@pytest.mark.parametrize("seed,stream_id",
+                         [(-1, 0), (0, -3), (2**64, 0), (0, 2**64), (True, 0)])
 def test_key_out_of_range_rejected(seed, stream_id):
     with pytest.raises(ConfigurationError):
         RandomStream(seed, stream_id)

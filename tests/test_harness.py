@@ -122,7 +122,7 @@ def test_replicate_rejects_zero_runs():
     cfg = ExperimentConfig(problem="always_fail", algorithm="mcs", n=10, runs=2)
     with pytest.raises(ConfigurationError):
         replicate(dataclasses.replace(cfg, runs=0))
-    for jobs in (0, -3, 2.5):
+    for jobs in (0, -3, 2.5, True):
         with pytest.raises(ConfigurationError, match="jobs"):
             replicate(cfg, jobs=jobs)
 
@@ -135,13 +135,16 @@ def test_config_validation_rejects_bad_values():
         validate_config(ExperimentConfig(**{**base, "rho": 0.0}))
     with pytest.raises(ConfigurationError):
         validate_config(ExperimentConfig(**{**base, "mcmc_corr": 1.0}))
-    for eps_tol in (0.0, math.nan):
+    for eps_tol in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             validate_config(ExperimentConfig(**{**base, "eps_tol": eps_tol}))
-    with pytest.raises(ConfigurationError):
-        validate_config(ExperimentConfig(**{**base, "n": 1}))
+    for n, algorithm in [(1, "ss"), (True, "mcs")]:  # a bool is not a count
+        with pytest.raises(ConfigurationError):
+            validate_config(ExperimentConfig(**{**base, "n": n, "algorithm": algorithm}))
     for key, value, message in [("max_levels", 0, "max_levels"), ("max_levels", 4.5, "max_levels"),
-                                ("n", 100.0, "n=100.0"), ("runs", 2.0, "runs")]:
+                                ("n", 100.0, "n=100.0"), ("runs", 2.0, "runs"),
+                                ("max_levels", True, "max_levels"), ("runs", True, "runs"),
+                                ("seed", True, "seed"), ("rho", "0.2", "rho")]:
         with pytest.raises(ConfigurationError, match=message):
             validate_config(ExperimentConfig(**{**base, key: value}))
     with pytest.raises(ConfigurationError):
@@ -154,6 +157,9 @@ def test_config_validation_rejects_bad_values():
         ({"partition": "halfspace", "axis": 1, "cuts": (-2.34, 0.8)}, "'cuts' applies"),
         ({"partition": "angular", "cuts": (-2.34, 0.8), "axis": 2}, "'axis' applies"),
         ({"partition": "single", "cuts": (-2.34, 0.8)}, "'cuts' applies"),
+        # an axis that is no integer fails here, not in classify after the first runs
+        ({"partition": "halfspace", "axis": 1.5}, "axis=1.5"),
+        ({"partition": "halfspace", "axis": True}, "axis=True"),
     ]:
         with pytest.raises(ConfigurationError, match=message):
             validate_config(ExperimentConfig(**{**dss, **keys}))

@@ -12,6 +12,7 @@ from dirss import (
     evaluate_batch,
     get_problem,
     make_beta_points,
+    make_constant,
     make_linear,
     make_piecewise_linear,
     register_problem,
@@ -89,8 +90,9 @@ def test_dimension_mismatch_is_configuration_error():
 def test_linear_problem_value():
     ls = make_linear(2.5)
     assert evaluate_batch(ls, np.array([1.0])[None], EvalCounter())[0] == pytest.approx(1.5)
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        make_linear(2.5, 0)
+    for make, dimension in [(make_linear, 0), (make_linear, 2.5), (make_constant, 0)]:
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            make(2.5, dimension)
 
 
 def test_registry_lookup():

@@ -37,8 +37,9 @@ def test_single_bin():
     assert part.n_bins == 1
     assert part.classify(np.array([[3.0, -2.0]])).tolist() == [0]
     np.testing.assert_allclose(part.probs, [1.0])
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        make_single_bin(0)
+    for dimension in (0, 2.5):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            make_single_bin(dimension)
 
 
 def test_angular_two_equal_sectors():
@@ -101,8 +102,9 @@ def test_orthants():
     assert make_orthants(3).n_bins == 8
     with pytest.raises(ConfigurationError):
         make_orthants(31)
-    with pytest.raises(ConfigurationError, match="at least 1"):
-        make_orthants(0)
+    for dimension in (0, 2.5):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            make_orthants(dimension)
 
 
 @pytest.mark.parametrize("part", builtin_partitions(), ids=lambda p: p.kind + str(p.n_bins))
