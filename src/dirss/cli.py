@@ -26,9 +26,9 @@ from .harness import (
     REFERENCE_PF,
     ExperimentConfig,
     ReplicationSummary,
-    binomial_standard_error,
+    build_partition,
+    build_problem,
     config_to_dict,
-    reference_probability,
     replicate,
     run_single,
     summarize,
@@ -204,13 +204,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    cfg = replace(cfg, runs=args.runs)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    # the reference is checked before any run, so a bad one costs no g-evaluation
-    pf_ref = args.pf_ref
-    if pf_ref is None and cfg.problem in REFERENCE_PF:
-        pf_ref = reference_probability(cfg.problem)
+    cfg = replace(cfg, runs=args.runs, seed=cfg.seed if args.seed is None else args.seed)
+    # config and reference are checked before --out is made, so a bad one makes no
+    # directory and costs no g-call; replicate's validate_config warns, once
+    build_partition(cfg, build_problem(cfg).dimension)
+    pf_ref = REFERENCE_PF.get(cfg.problem) if args.pf_ref is None else args.pf_ref
     if pf_ref is None:
         raise ConfigurationError(
             "no stored reference for this problem; pass --pf-ref to compute R"
@@ -249,7 +247,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     ls = get_problem(args.problem)
     stream = RandomStream(args.seed)
     result = run_mcs(ls, args.samples, stream)
-    se = binomial_standard_error(result.pf_hat, args.samples)
+    se = math.sqrt(result.pf_hat * (1.0 - result.pf_hat) / args.samples)  # binomial
     print(f"problem={args.problem} samples={args.samples}")
     print(f"pf_hat = {result.pf_hat:.6e}  standard_error = {se:.3e}")
     return 0

@@ -59,7 +59,9 @@ REFERENCE_PF = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment (see README for the file keys)."""
+    """Declarative description of one experiment (see README for the file keys).
+
+    Making one checks each field but the problem and partition (:func:`validate_config`)."""
 
     problem: str
     algorithm: str
@@ -73,6 +75,19 @@ class ExperimentConfig:
     axis: int | None = None
     runs: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {self.algorithm!r} (known: {', '.join(ALGORITHMS)})"
+            )
+        check_count(self.n, "n", 1 if self.algorithm == "mcs" else 2)
+        check_open_interval(self.rho, "rho")
+        McmcConfig(self.mcmc_corr)
+        check_open_interval(self.eps_tol, "eps_tol", math.inf)
+        check_count(self.max_levels, "max_levels")
+        check_count(self.runs, "runs")
+        RandomStream(self.seed)
 
 
 @dataclass(frozen=True)
@@ -104,32 +119,23 @@ def build_problem(cfg: ExperimentConfig) -> LimitState:
 
 
 def build_partition(cfg: ExperimentConfig, dimension: int) -> Partition:
+    """The partition a config runs on: its own for dSS, a single bin for SS and MCS."""
+    if cfg.algorithm != "dss":
+        return make_single_bin(dimension)
     return from_spec(cfg.partition, dimension, cuts=cfg.cuts, axis=cfg.axis)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Check an experiment configuration, raising ConfigurationError on problems."""
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {cfg.algorithm!r} (known: {', '.join(ALGORITHMS)})"
+    """Look up a config's problem and partition, raising ConfigurationError, and
+    warn of a dSS bin that expects fewer than 10 initial samples."""
+    part = build_partition(cfg, build_problem(cfg).dimension)
+    if cfg.algorithm == "dss" and cfg.n * part.probs.min() < 10:
+        warnings.warn(
+            f"bin with probability {part.probs.min():.3g} expects fewer than "
+            f"10 of the {cfg.n} initial samples and may starve",
+            UserWarning,
+            stacklevel=2,
         )
-    ls = build_problem(cfg)
-    check_count(cfg.n, "n", 1 if cfg.algorithm == "mcs" else 2)
-    check_open_interval(cfg.rho, "rho")
-    McmcConfig(cfg.mcmc_corr)
-    check_open_interval(cfg.eps_tol, "eps_tol", math.inf)
-    check_count(cfg.max_levels, "max_levels")
-    check_count(cfg.runs, "runs")
-    RandomStream(cfg.seed)
-    if cfg.algorithm == "dss":
-        part = build_partition(cfg, ls.dimension)
-        if cfg.n * part.probs.min() < 10:
-            warnings.warn(
-                f"bin with probability {part.probs.min():.3g} expects fewer than "
-                f"10 of the {cfg.n} initial samples and may starve",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 def group_size(cfg: ExperimentConfig, dimension: int) -> int:
@@ -140,6 +146,8 @@ def group_size(cfg: ExperimentConfig, dimension: int) -> int:
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
     """Execute one run of the configured experiment with the given stream id.
 
+    A bad config raises ConfigurationError before any g-call; a starving bin is
+    not warned of (see :func:`validate_config`).
     A g that raises or returns bad values (see :class:`EvaluationError`)
     ends the run with status "failed": the result carries the error
     message as ``reason`` and the evaluations spent up to the failure;
@@ -158,8 +166,7 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     fail end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
-    part = (build_partition(cfg, ls.dimension) if cfg.algorithm == "dss"
-            else make_single_bin(ls.dimension))
+    part = build_partition(cfg, ls.dimension)
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
         steps = McsGroup(ls, cfg.n, streams)
@@ -294,8 +301,3 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     if out["cuts"] is not None:
         out["cuts"] = list(out["cuts"])
     return out
-
-
-def binomial_standard_error(pf: float, n: int) -> float:
-    """Standard error of a Monte Carlo proportion estimate."""
-    return math.sqrt(max(pf * (1.0 - pf), 0.0) / n)

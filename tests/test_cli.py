@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,37 @@ def test_non_numeric_config_values_are_configuration_errors(tmp_path, capsys, ke
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 0, "n=0 must be an integer of at least 2"),
+    ("problem", "not_a_problem", "unknown problem"),
+    ("cuts", [0.8, -2.0], "cut angles must be strictly increasing"),
+])
+def test_bad_config_exits_2_before_out_is_made(tmp_path, capsys, key, value, message):
+    # also for an --out that names a file, which would otherwise end the command with exit 1
+    cfg = _write_config(tmp_path / "bad.json", **{key: value})
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for out in (tmp_path / "out", a_file):
+        for argv in (["run", "--config", str(cfg), "--out", str(out)],
+                     ["replicate", "--config", str(cfg), "--runs", "2", "--out", str(out)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists() and a_file.read_text() == ""
+
+
+def test_starving_bin_is_warned_of_once(tmp_path):
+    # 5 expected samples a bin: the runs starve, and the batch has no usable run (exit 1)
+    cfg = _write_config(tmp_path / "cfg.json", n=20, partition="orthants", cuts=None)
+    for argv, code in [(["run", "--config", str(cfg)], 0),
+                       (["replicate", "--config", str(cfg), "--runs", "2",
+                         "--out", str(tmp_path / "rep")], 1)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a repeat from the same line is recorded too
+            assert main(argv) == code
+        assert ["may starve" in str(w.message) for w in caught] == [True]
 
 
 def test_replicate_outputs(tmp_path, capsys):

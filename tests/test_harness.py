@@ -27,10 +27,12 @@ from dirss import (
     reference_probability,
     replicate,
     run_mcs,
+    run_single,
     summarize,
     validate_config,
 )
 from dirss.estimators import BinOutcome, RunResult
+from dirss.harness import run_group
 
 
 def _fake_result(pf: float, status: str = "converged", n_evals: int = 100) -> RunResult:
@@ -167,6 +169,21 @@ def test_config_validation_rejects_bad_values():
     for algorithm in ("ss", "mcs"):
         validate_config(ExperimentConfig(**{**base, "algorithm": algorithm,
                                             "partition": "orthants", "cuts": (-2.34, 0.8)}))
+
+
+def test_library_runs_refuse_a_bad_config():
+    # run_single and run_group skip validate_config, so the config checks itself when
+    # made: an unknown algorithm must not run as single-bin dSS
+    cfg = ExperimentConfig(problem="piecewise_linear", algorithm="ss", n=100)
+    for make, message in [
+        (lambda: ExperimentConfig("piecewise_linear", "sorm", 100),
+         r"unknown algorithm 'sorm' \(known: mcs, ss, dss\)"),
+        (lambda: dataclasses.replace(cfg, n=0), "n=0 must be an integer of at least 2"),
+        (lambda: dataclasses.replace(cfg, seed=-1), "seed=-1 must be an integer from 0 to"),
+    ]:
+        for run in (lambda c: run_single(c, 0), lambda c: run_group(c, [0, 1])):
+            with pytest.raises(ConfigurationError, match=message):
+                run(make())
 
 
 def test_config_warns_on_likely_starvation():
