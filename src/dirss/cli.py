@@ -206,7 +206,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     cfg = replace(cfg, runs=args.runs, seed=cfg.seed if args.seed is None else args.seed)
     # config and reference are checked before --out is made, so a bad one makes no
-    # directory and costs no g-call; replicate's validate_config warns, once
+    # directory and costs no g-call; replicate warns of a starving bin, once
     build_partition(cfg, build_problem(cfg).dimension)
     pf_ref = REFERENCE_PF.get(cfg.problem) if args.pf_ref is None else args.pf_ref
     if pf_ref is None:

@@ -40,12 +40,18 @@ from .partition import Partition, from_spec, make_single_bin
 
 ALGORITHMS = ("mcs", "ss", "dss")
 
-# Runs of a group share g-calls; a group holds max(1, _GROUP_POINTS // (n * dim))
-# runs. Chosen by a sweep of 2**16 ... 2**20 over dSS and SS batches (n=500 to
-# 4000, cheap g): 2**18 was fastest, or within noise of 2**19, on each, and
-# 2**19 peaked about 10 MB higher; at 2**20 both 1000 cheap runs and groups of
-# large runs (n*dim=200000) were slower. A slab array of 2**18 float64 is 2 MiB,
-# one core's L2 cache on the 2-core Xeon it was measured on.
+# Runs of a group share g-calls; a group holds _GROUP_POINTS // (n * dim) runs, but
+# two while _GROUP_POINTS / 2 < n * dim <= _GROUP_POINTS (see group_size). Chosen
+# by a sweep of 2**16 ... 2**20 over dSS and SS batches (n=500 to 4000, cheap g):
+# 2**18 was fastest, or within noise of 2**19, on each, and 2**19 peaked about
+# 10 MB higher; at 2**20 both 1000 cheap runs and groups of large runs
+# (n*dim=200000) were slower. A slab array of 2**18 float64 is 2 MiB, one core's
+# L2 cache on the 2-core Xeon it was measured on. Pairing the runs of
+# n*dim = 200000 (dSS, 1024 orthants, n=20000 in 10-D) cut their g-calls from
+# 35.5 to 21.7 a run; over 10 alternating 30 s bench pairs ms_per_run did not
+# rise (median -9.7%) and peak RSS went from 84.4 to 91.7 MB. A 2**19 cap pairs
+# them too, but also doubles the groups of small runs: a 1000-run dSS batch at
+# n=500 in 2-D peaked at 72.1 MB instead of 59.3, with CPU time within noise.
 _GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from
@@ -128,19 +134,28 @@ def build_partition(cfg: ExperimentConfig, dimension: int) -> Partition:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Look up a config's problem and partition, raising ConfigurationError, and
     warn of a dSS bin that expects fewer than 10 initial samples."""
-    part = build_partition(cfg, build_problem(cfg).dimension)
+    _checked_partition(cfg, build_problem(cfg).dimension)
+
+
+def _checked_partition(cfg: ExperimentConfig, dimension: int) -> Partition:
+    """:func:`build_partition`, warning the caller's caller of a dSS bin that expects
+    fewer than 10 initial samples."""
+    part = build_partition(cfg, dimension)
     if cfg.algorithm == "dss" and cfg.n * part.probs.min() < 10:
         warnings.warn(
             f"bin with probability {part.probs.min():.3g} expects fewer than "
             f"10 of the {cfg.n} initial samples and may starve",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+    return part
 
 
 def group_size(cfg: ExperimentConfig, dimension: int) -> int:
-    """Runs advanced together in one group: ``max(1, _GROUP_POINTS // (n * dim))``."""
-    return max(1, _GROUP_POINTS // (cfg.n * dimension))
+    """Runs advanced together in one group: ``_GROUP_POINTS // (n * dim)``, at
+    least two while ``n * dim`` is at most ``_GROUP_POINTS``, else one."""
+    points = cfg.n * dimension
+    return max(1 + (points <= _GROUP_POINTS), _GROUP_POINTS // points)
 
 
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
@@ -166,7 +181,11 @@ def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResul
     fail end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
-    part = build_partition(cfg, ls.dimension)
+    return _run_group(cfg, ls, build_partition(cfg, ls.dimension), stream_ids)
+
+
+def _run_group(cfg: ExperimentConfig, ls: LimitState, part: Partition,
+               stream_ids: Sequence[int]) -> list[RunResult]:
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
         steps = McsGroup(ls, cfg.n, streams)
@@ -193,10 +212,12 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
 
     Runs go in groups of :func:`group_size` runs through
     :func:`run_group`, which serves a group with one g-call per step;
-    ``n_evals`` stays per run. Per-run failures come back as results
-    with status "failed" and a ``reason``: a sampler that went extinct,
-    or a g that raised or returned bad values (see
-    :class:`EvaluationError`). The batch itself never aborts on them.
+    ``n_evals`` stays per run. The problem is looked up once, and it and
+    the partition serve every group that runs in this process. Per-run
+    failures come back as results with status "failed" and a ``reason``:
+    a sampler that went extinct, or a g that raised or returned bad
+    values (see :class:`EvaluationError`). The batch itself never aborts
+    on them.
     With ``jobs`` > 1 the groups, made no larger than needed to give
     every worker runs, are distributed over a process pool of at most one
     worker per group, and each worker registers the problem's factory, so
@@ -211,14 +232,15 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     ``jobs`` must be a positive integer.
     """
     check_count(jobs, "jobs")
-    validate_config(cfg)
-    size = group_size(cfg, build_problem(cfg).dimension)
+    ls = build_problem(cfg)
+    part = _checked_partition(cfg, ls.dimension)
+    size = group_size(cfg, ls.dimension)
     if jobs > 1:
         size = min(size, -(-cfg.runs // jobs))
     groups = [range(a, min(a + size, cfg.runs)) for a in range(0, cfg.runs, size)]
     workers = min(jobs, len(groups))
     if workers <= 1:
-        return [r for g in groups for r in run_group(cfg, g)]
+        return [r for g in groups for r in _run_group(cfg, ls, part, g)]
     # imported here, not with the module: they cost every fresh process about
     # 20 ms (2-core Xeon), and only a pool needs them
     import multiprocessing

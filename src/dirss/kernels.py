@@ -332,10 +332,12 @@ def run_steps(steps) -> list:
     step = _Lockstep(steps)
     ready: list[tuple] = [(k, None) for k in range(step.runs)]
     while True:
-        # the values sent are let go before the requests take their memory
+        # the values sent are let go before the requests take their memory, and
+        # the requests once the slab has taken them: a run holds one level's seeds
         wants, ready = steps.send(ready) if ready else (), []
         for ks, want in wants:
             ready += step.add(ks, want)
+        wants = want = None
         ready += step.propose()
         if ready:
             continue

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -113,8 +114,26 @@ def _assert_matches_solo(cfg: ExperimentConfig, results) -> None:
 def test_group_size_rule():
     cfg = ExperimentConfig("piecewise_linear", "dss", 500)
     assert group_size(cfg, 2) == 262
-    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 1
+    # 2**17 < n * dim <= 2**18: runs share g-calls in pairs; beyond 2**18 alone
+    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 2
+    assert group_size(dataclasses.replace(cfg, n=26300), 10) == 1
     assert group_size(dataclasses.replace(cfg, n=13000), 10) == 2
+
+
+def test_replicate_looks_the_problem_up_once(monkeypatch):
+    made = []
+
+    def factory():
+        made.append(None)
+        return make_piecewise_linear()
+
+    monkeypatch.setitem(limitstate._REGISTRY, "counted", factory)
+    calls = _Calls()
+    monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
+        limitstate.get_problem(name)))
+    # n * dim = 400000 > 2**18: three groups of one run, one g-call each
+    replicate(ExperimentConfig("counted", "mcs", 200000, runs=3))
+    assert (len(made), calls.sizes) == (1, [200000] * 3)
 
 
 def test_one_g_call_serves_a_group(monkeypatch):
@@ -213,9 +232,11 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
             run_steps(stepper([0], n))
 
 
-@pytest.mark.parametrize("n, sizes", [(26300, [26300] * 3), (13000, [26000, 13000])])
+@pytest.mark.parametrize("n, sizes", [
+    (26300, [26300] * 3), (13000, [26000, 13000]), (20000, [40000, 20000]),
+])
 def test_large_populations_run_in_small_groups(monkeypatch, n, sizes):
-    # n * dim = 263000 > 2**18 leaves every run alone; 130000 pairs them
+    # n * dim = 263000 > 2**18 leaves every run alone; 130000 and 200000 pair them
     calls = _Calls()
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
         limitstate.get_problem(name)))
@@ -412,6 +433,29 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
     assert len({s[0] for s in steps.values()}) == 1
     assert len({s[1] for s in steps.values()}) > 1
     _assert_matches_solo(cfg, results)
+
+
+def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
+    # else a level's seeds are still held while the next level's are gathered
+    taken, held = [], []
+    enter, send = kernels._Lockstep.enter, DssGroup.send
+
+    def logged_enter(self, ks, want):
+        taken.append(weakref.ref(want))
+        return enter(self, ks, want)
+
+    def checked_send(self, ready):
+        held.append(sum(ref() is not None for ref in taken))
+        return send(self, ready)
+
+    monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
+    monkeypatch.setattr(DssGroup, "send", checked_send)
+    cfg = ExperimentConfig("piecewise_linear", "dss", 150, partition="angular", cuts=CASE1,
+                           runs=3, seed=9)
+    results = replicate(cfg)
+    run_single(cfg, 0)
+    assert len(taken) >= max(r.levels for r in results) - 1
+    assert not any(held)
 
 
 class _Requests:
