@@ -21,7 +21,6 @@ from .harness import (
     REFERENCE_PF,
     ExperimentConfig,
     ReplicationSummary,
-    reference_probability,
     replicate,
     run_single,
     summarize,
@@ -73,7 +72,6 @@ __all__ = [
     "make_orthants",
     "make_piecewise_linear",
     "make_single_bin",
-    "reference_probability",
     "register_problem",
     "replicate",
     "run_dss",

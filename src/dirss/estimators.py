@@ -34,15 +34,13 @@ import numpy as np
 
 from .errors import ConfigurationError, check_count, check_open_interval
 from .gaussian import RandomStream
-from .kernels import (  # noqa: F401 - perfbench/spans.py patches names here
+from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chains here
     ChainRequest,
     McmcConfig,
-    binned_quantiles,
     interp_quantile,
     propagate_chains,
     residual_resample,
     run_alone,
-    stacked_residual_resample,
 )
 from .limitstate import EvalCounter, LimitState
 from .partition import Partition, make_single_bin
@@ -235,7 +233,7 @@ class DssGroup:
     level 0 is ``n`` points that the lockstep loop draws from its stream,
     its later levels are populations of the chain slab. The runs whose
     populations come back at one step share one level update: one bin
-    count and one :func:`binned_quantiles` over the key
+    count and one :func:`interp_quantile` over the key
     ``run * J + bin`` (a bin's quantile depends on its own values only,
     so each run gets its own bit for bit), one mask each to finish,
     starve and seed bins, one pass over the bins that finish or starve,
@@ -310,7 +308,7 @@ class DssGroup:
         starve = empty_streak >= _STARVE_LIMIT
         # the quantile of an empty bin is NaN, which fmin skips: its
         # threshold stays as it was
-        q = binned_quantiles(gv.ravel(), key.ravel(), counts.size, rho, counts)
+        q = interp_quantile(gv.ravel(), key.ravel(), counts.size, rho, counts)
         gamma = np.fmin(q.reshape(active.shape), self.gamma[rows])
         t = self.t[rows]
         if ss:  # SS's last level forces its one threshold to 0
@@ -357,7 +355,7 @@ class DssGroup:
         streams = [self.streams[k] for k in going.tolist()]
         return [(going, ChainRequest(
             pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at), m,
-            stacked_residual_resample(m, self.n, streams), table[go],
+            residual_resample(m, self.n, streams), table[go],
         ))]
 
     def _powers(self, top: int) -> np.ndarray:

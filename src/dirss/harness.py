@@ -306,17 +306,6 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     )
 
 
-def reference_probability(problem: str) -> float:
-    """Pinned reference failure probability of a built-in benchmark (:data:`REFERENCE_PF`)."""
-    try:
-        return REFERENCE_PF[problem]
-    except KeyError:
-        known = ", ".join(sorted(REFERENCE_PF))
-        raise ConfigurationError(
-            f"no stored reference for {problem!r} (known: {known})"
-        ) from None
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-dict form of a config (tuples become lists), for JSON output."""
     out = asdict(cfg)

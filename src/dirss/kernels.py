@@ -358,28 +358,23 @@ def run_alone(steps):
     return out
 
 
-def residual_resample(n_seeds: int, n_target: int, stream: RandomStream) -> np.ndarray:
-    """Equal-weight residual resampling: offspring counts for each seed.
+def residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarray:
+    """Equal-weight residual resampling of one or more runs: offspring counts
+    for each seed, stacked run by run.
 
-    Every seed receives floor(n_target / n_seeds) offspring
-    deterministically; the remaining r = n_target - n_seeds * floor(...)
-    are assigned by a multinomial draw with equal probabilities. Counts
-    always sum to ``n_target``. This is the one-run case of
-    :func:`stacked_residual_resample`.
-    """
-    return stacked_residual_resample([n_seeds], n_target, [stream])
-
-
-def stacked_residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarray:
-    """:func:`residual_resample` of several runs, their counts stacked run by run.
-
-    Run i's ``n_seeds[i]`` counts equal ``residual_resample(n_seeds[i],
-    n_target, streams[i])`` bit for bit, and leave that stream in the same
-    state: the deterministic shares of all runs are one array, and only
-    the multinomial draw of each run with a remainder is made run by run.
+    Run i has ``m = n_seeds[i]`` seeds. Each receives floor(n_target / m)
+    offspring deterministically; the remaining r = n_target - m * floor(...)
+    are assigned by a multinomial draw with equal probabilities from
+    ``streams[i]``, made only if r > 0. Each run's counts sum to
+    ``n_target``. The deterministic shares of all runs are one array; only
+    the multinomial draws are made run by run.
     """
     n_seeds = np.asarray(n_seeds, dtype=np.int64)
-    if n_seeds.min() < 1:
+    if n_seeds.ndim != 1 or n_seeds.size != len(streams):
+        raise ConfigurationError(
+            f"residual resampling needs a 1-D array of seed counts, one per stream; got "
+            f"shape {n_seeds.shape} for {len(streams)} streams")
+    if (n_seeds < 1).any():
         raise ConfigurationError("residual resampling needs at least one seed")
     if n_target < 1:
         raise ConfigurationError("target population must be at least 1")
@@ -396,14 +391,16 @@ def stacked_residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarr
 _LO_HI = np.array([[-1], [0]])
 
 
-def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.ndarray:
-    """Quantile of order ``rho`` of each bin's values, by one sort of the population.
+def interp_quantile(values, bins, n_bins: int, rho: float, counts=None) -> np.ndarray:
+    """Quantile of order ``rho`` of each bin's values, by linear interpolation
+    of the empirical CDF and one sort of the population.
 
-    Entry j equals ``interp_quantile(values[bins == j], rho)`` bit for
-    bit, and is NaN for a bin with no values. The population is sorted
-    once by (bin, value); per-bin offsets come from the bin counts, and
-    the interpolation is done for all bins at once with the arithmetic
-    of :func:`interp_quantile`. A caller that has the bin counts,
+    With bin j's values sorted, x_(1) <= ... <= x_(k), and h = (k - 1) * rho
+    + 1, entry j is x_(floor(h)) + (h - floor(h)) * (x_(floor(h)+1) -
+    x_(floor(h))); a single value is returned as-is, and a bin with no
+    values gives NaN. The population is sorted once by (bin, value);
+    per-bin offsets come from the bin counts, and the interpolation is
+    done for all bins at once. A caller that has the bin counts,
     ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``;
     its bins are then not checked again.
     """
@@ -426,7 +423,7 @@ def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.n
     order = values.argsort()
     by_bin = bins[order].astype(np.uint16 if n_bins <= 1 << 16 else np.int64)
     order = order[by_bin.argsort(kind="stable")]
-    # with h = (k - 1) * rho + 1 and i = floor(h) as in interp_quantile,
+    # with h = (k - 1) * rho + 1 and i = floor(h),
     # x_(i) of bin j is the value at position end_j - k_j + i - 1 of order
     h = (k - 1) * rho + 1.0
     i = h.astype(np.int64)  # h > 0, so truncation is floor
@@ -436,17 +433,3 @@ def binned_quantiles(values, bins, n_bins: int, rho: float, counts=None) -> np.n
     q = np.where(i < k, x_lo + (h - i) * (x_hi - x_lo), x_lo)
     q[k == 0] = np.nan
     return q
-
-
-def interp_quantile(values, rho: float) -> float:
-    """Quantile of order ``rho`` by linear interpolation of the empirical CDF.
-
-    With sorted values x_(1) <= ... <= x_(k) and h = (k - 1) * rho + 1,
-    returns x_(floor(h)) + (h - floor(h)) * (x_(floor(h)+1) - x_(floor(h))).
-    A single value is returned as-is. This is the one-bin case of
-    :func:`binned_quantiles`.
-    """
-    vals = np.asarray(values, dtype=float).ravel()
-    if vals.size == 0:
-        raise ConfigurationError("cannot take the quantile of an empty sample")
-    return float(binned_quantiles(vals, np.zeros(vals.size, dtype=np.int64), 1, rho)[0])

@@ -421,3 +421,5 @@ def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
     assert dirss.cli.main is untraced
     totals = tracer.totals()
     assert totals["cli.main"][2] == 1 and totals["limitstate.g"][3] > 0
+    # the threshold updates and the resampling of the runs are the ones it times
+    assert totals["kernels.quantile"][2] >= 1 and totals["kernels.resample"][2] >= 1

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from dirss import (
+    REFERENCE_PF,
     ConfigurationError,
     ExperimentConfig,
     LimitState,
@@ -24,7 +25,6 @@ from dirss import (
     get_problem,
     make_linear,
     register_problem,
-    reference_probability,
     replicate,
     run_mcs,
     run_single,
@@ -283,16 +283,15 @@ def test_r_metric_decomposes_into_bias_and_spread():
 
 
 def test_reference_probability_stored_values():
-    assert reference_probability("piecewise_linear") == pytest.approx(3.19e-5)
-    assert reference_probability("beta_points") == pytest.approx(1.33e-6)
-    with pytest.raises(ConfigurationError):
-        reference_probability("always_fail")
+    assert REFERENCE_PF["piecewise_linear"] == pytest.approx(3.19e-5)
+    assert REFERENCE_PF["beta_points"] == pytest.approx(1.33e-6)
+    assert "always_fail" not in REFERENCE_PF
 
 
 def test_reference_probability_recompute_agrees():
     n = 10**6
     est = run_mcs(get_problem("piecewise_linear"), n, RandomStream(77)).pf_hat
-    stored = reference_probability("piecewise_linear")
+    stored = REFERENCE_PF["piecewise_linear"]
     sigma = math.sqrt(stored * (1 - stored) / n)
     assert abs(est - stored) < 3 * sigma
 

@@ -15,21 +15,26 @@ from dirss import (
     make_halfspace,
     make_single_bin,
 )
-from dirss.kernels import (
-    binned_quantiles,
-    interp_quantile,
-    propagate_chains,
-    residual_resample,
-    stacked_residual_resample,
-)
+from dirss.kernels import interp_quantile, propagate_chains, residual_resample
+
+
+def _quantile(values, rho):
+    """The quantile of one bin that holds all ``values``."""
+    values = np.asarray(values, dtype=float)
+    return float(interp_quantile(values, np.zeros(values.size, np.int64), 1, rho)[0])
+
+
+def _resample(m, n, stream):
+    """The offspring counts of one run with ``m`` seeds."""
+    return residual_resample([m], n, [stream])
 
 
 # ---------------------------------------------------------------- quantile
 
 def test_quantile_interpolation_oracle():
-    assert interp_quantile(range(1, 11), 0.2) == pytest.approx(2.8, abs=1e-12)
-    assert interp_quantile([7.0] * 9, 0.37) == 7.0
-    assert interp_quantile([5.0], 0.2) == 5.0
+    assert _quantile(range(1, 11), 0.2) == pytest.approx(2.8, abs=1e-12)
+    assert _quantile([7.0] * 9, 0.37) == 7.0
+    assert _quantile([5.0], 0.2) == 5.0
 
 
 def test_quantile_matches_independent_implementation():
@@ -38,31 +43,31 @@ def test_quantile_matches_independent_implementation():
     for _ in range(50):
         vals = rng.normal(size=rng.integers(2, 40))
         rho = rng.uniform(0.01, 0.99)
-        assert interp_quantile(vals, rho) == pytest.approx(
+        assert _quantile(vals, rho) == pytest.approx(
             float(np.quantile(vals, rho)), abs=1e-12
         )
 
 
 def test_quantile_monotone_in_rho():
     vals = np.random.default_rng(6).normal(size=31)
-    qs = [interp_quantile(vals, r) for r in np.linspace(0.05, 0.95, 19)]
+    qs = [_quantile(vals, r) for r in np.linspace(0.05, 0.95, 19)]
     assert all(a <= b + 1e-15 for a, b in zip(qs, qs[1:]))
 
 
 def test_quantile_affine_equivariance():
     vals = np.random.default_rng(7).normal(size=17)
     for rho in (0.1, 0.2, 0.5, 0.9):
-        q = interp_quantile(vals, rho)
-        assert interp_quantile(3.5 * vals - 2.0, rho) == pytest.approx(3.5 * q - 2.0)
+        q = _quantile(vals, rho)
+        assert _quantile(3.5 * vals - 2.0, rho) == pytest.approx(3.5 * q - 2.0)
 
 
 def test_quantile_rejects_bad_input():
+    # an empty sample is an empty bin
+    assert math.isnan(_quantile([], 0.2))
     with pytest.raises(ConfigurationError):
-        interp_quantile([], 0.2)
+        _quantile([1.0], 0.0)
     with pytest.raises(ConfigurationError):
-        interp_quantile([1.0], 0.0)
-    with pytest.raises(ConfigurationError):
-        interp_quantile([1.0], 1.0)
+        _quantile([1.0], 1.0)
 
 
 def _sorted_quantile(values, rho):
@@ -90,7 +95,7 @@ def test_binned_quantiles_equal_per_bin_interp_quantile(rho):
             vals = rng.integers(-3, 4, size=n).astype(float)
         # skewed bin weights leave some bins empty and some with one member
         bins = rng.choice(n_bins, size=n, p=rng.dirichlet(np.full(n_bins, 0.3)))
-        q = binned_quantiles(vals, bins, n_bins, rho)
+        q = interp_quantile(vals, bins, n_bins, rho)
         assert q.shape == (n_bins,)
         for j in range(n_bins):
             members = vals[bins == j]
@@ -98,10 +103,10 @@ def test_binned_quantiles_equal_per_bin_interp_quantile(rho):
             if members.size == 0:
                 assert np.isnan(q[j])
             else:
-                assert q[j] == interp_quantile(members, rho) == _sorted_quantile(members, rho)
+                assert q[j] == _quantile(members, rho) == _sorted_quantile(members, rho)
     assert sizes == {0, 1, 2}  # empty, single-member and larger bins all occurred
     # a population of no values leaves every bin empty
-    assert np.isnan(binned_quantiles([], [], 5, rho)).tolist() == [True] * 5
+    assert np.isnan(interp_quantile([], [], 5, rho)).tolist() == [True] * 5
 
 
 def test_binned_quantiles_beyond_radix_range():
@@ -109,27 +114,27 @@ def test_binned_quantiles_beyond_radix_range():
     rng = np.random.default_rng(9)
     vals = rng.normal(size=300)
     bins = rng.integers(70_000, 70_010, size=300)
-    q = binned_quantiles(vals, bins, 70_010, 0.2)
+    q = interp_quantile(vals, bins, 70_010, 0.2)
     for j in range(70_000, 70_010):
-        assert q[j] == interp_quantile(vals[bins == j], 0.2)
+        assert q[j] == _quantile(vals[bins == j], 0.2)
     assert np.isnan(q[:70_000]).all()
 
 
 def test_binned_quantiles_rejects_bad_input():
     with pytest.raises(ConfigurationError):
-        binned_quantiles([1.0, 2.0], [0, 3], 2, 0.2)
+        interp_quantile([1.0, 2.0], [0, 3], 2, 0.2)
     with pytest.raises(ConfigurationError, match="negative"):
-        binned_quantiles([1.0, 2.0], [-1, 0], 2, 0.2)
+        interp_quantile([1.0, 2.0], [-1, 0], 2, 0.2)
     with pytest.raises(ConfigurationError):
-        binned_quantiles([1.0, 2.0], [0], 2, 0.2)
+        interp_quantile([1.0, 2.0], [0], 2, 0.2)
     with pytest.raises(ConfigurationError):
-        binned_quantiles([1.0], [0], 1, 1.0)
+        interp_quantile([1.0], [0], 1, 1.0)
 
 
 # ------------------------------------------------------------- resampling
 
 def test_residual_resample_exact_when_divisible():
-    counts = residual_resample(5, 10, RandomStream(1))
+    counts = _resample(5, 10, RandomStream(1))
     np.testing.assert_array_equal(counts, [2, 2, 2, 2, 2])
 
 
@@ -138,7 +143,7 @@ def test_residual_resample_structure():
     for m, n in [(4, 10), (3, 10), (7, 100), (150, 100), (1, 13)]:
         base, r = n // m, n % m
         for _ in range(20):
-            counts = residual_resample(m, n, stream)
+            counts = _resample(m, n, stream)
             assert counts.sum() == n
             assert counts.min() >= base
             assert counts.max() <= base + r
@@ -151,7 +156,7 @@ def test_residual_resample_mean_counts():
     stream = RandomStream(3)
     total = np.zeros(m)
     for _ in range(reps):
-        total += residual_resample(m, n, stream)
+        total += _resample(m, n, stream)
     sigma = math.sqrt(1.0 * (1 / m) * (1 - 1 / m) / reps)
     assert np.abs(total / reps - n / m).max() < 4.0 * sigma
 
@@ -165,11 +170,11 @@ def test_stacked_resample_equals_residual_resample_run_by_run():
         cases.append((rng.integers(1, 2 * n + 1, size=rng.integers(1, 9)).tolist(), n))
     for ms, n in cases:
         streams = [RandomStream(9, i) for i in range(len(ms))]
-        counts = stacked_residual_resample(ms, n, streams)
+        counts = residual_resample(ms, n, streams)
         ends = np.cumsum(ms)
         for i, m in enumerate(ms):
             alone = RandomStream(9, i)
-            expected = residual_resample(m, n, alone)
+            expected = _resample(m, n, alone)
             # the formula the resampler had before it took several runs
             old = RandomStream(9, i)
             base = np.full(m, n // m, dtype=np.int64)
@@ -182,14 +187,18 @@ def test_stacked_resample_equals_residual_resample_run_by_run():
             nxt = [s.standard_normal(4).tobytes() for s in (streams[i], alone, old)]
             assert nxt[0] == nxt[1] == nxt[2]
     with pytest.raises(ConfigurationError):
-        stacked_residual_resample([3, 0], 10, [RandomStream(4)] * 2)
+        residual_resample([3, 0], 10, [RandomStream(4)] * 2)
 
 
 def test_residual_resample_needs_seeds():
     with pytest.raises(ConfigurationError):
-        residual_resample(0, 10, RandomStream(4))
+        _resample(0, 10, RandomStream(4))
     with pytest.raises(ConfigurationError):
-        residual_resample(3, 0, RandomStream(4))
+        _resample(3, 0, RandomStream(4))
+    # a run without a stream, or a scalar seed count, is not dropped or left to numpy
+    for n_seeds in ([3, 4], 3):
+        with pytest.raises(ConfigurationError, match="one per stream"):
+            residual_resample(n_seeds, 10, [RandomStream(1)])
 
 
 # ------------------------------------------------------------ Markov step
@@ -259,7 +268,7 @@ def test_propagate_chains_population_and_region():
     seeds = np.linspace(-2.0, 0.4, 12)[:, None]
     gvals = ls.evaluator(seeds)
     bins = np.zeros(12, dtype=np.int64)
-    offspring = residual_resample(12, 50, stream)
+    offspring = _resample(12, 50, stream)
     ctr = EvalCounter()
     pts, gv, bn = propagate_chains(
         seeds, gvals, bins, offspring, region, McmcConfig(0.8), stream, ls, part, ctr

@@ -38,7 +38,7 @@ from dirss.estimators import DssGroup
 from dirss.harness import group_size
 from dirss.kernels import (
     ChainRequest,
-    binned_quantiles,
+    interp_quantile,
     propagate_chains,
     run_steps,
 )
@@ -396,9 +396,9 @@ def test_runs_that_end_a_level_together_share_one_threshold_update(monkeypatch):
 
     def counted(*args, **kwargs):
         updates.append(args[1].size)
-        return binned_quantiles(*args, **kwargs)
+        return interp_quantile(*args, **kwargs)
 
-    monkeypatch.setattr("dirss.estimators.binned_quantiles", counted)
+    monkeypatch.setattr("dirss.estimators.interp_quantile", counted)
     cfg = ExperimentConfig("piecewise_linear", "dss", 500, partition="angular", cuts=CASE1,
                            runs=40, seed=31)
     assert group_size(cfg, 2) >= cfg.runs
