@@ -107,11 +107,6 @@ class RunResult:
     reason: str = ""
 
 
-def _stacked(arrays, shape: tuple) -> np.ndarray:
-    """The runs' arrays, concatenated and reshaped; a single run's as a view."""
-    return (arrays[0] if len(arrays) == 1 else np.concatenate(arrays)).reshape(shape)
-
-
 def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
     if not chunks:
         return np.empty((0, dim))
@@ -144,9 +139,10 @@ class McsGroup:
         """Take each ready run's last chunk and its g-values, ``None`` at the
         start; request the runs' next chunks, or end the runs once all are drawn."""
         if ready[0][1] is not None:
-            for k, (pts, gv) in ready:
-                self.fail_pts[k].append(pts[gv <= 0.0])
-        ks = [k for k, _ in ready]
+            for ks, (pts, gv) in ready:
+                for k, p, g in zip(ks, pts, gv):
+                    self.fail_pts[k].append(p[g <= 0.0])
+        ks = [k for runs, _ in ready for k in runs]
         if self.done == self.n:
             for k in ks:
                 self._finish(k)
@@ -231,14 +227,15 @@ class DssGroup:
 
     Run k draws from ``streams[k]`` and counts on its own ``ctrs[k]``. Its
     level 0 is ``n`` points that the lockstep loop draws from its stream,
-    its later levels are populations of the chain slab. The runs whose
-    populations come back at one step share one level update: one bin
-    count and one :func:`interp_quantile` over the key
-    ``run * J + bin`` (a bin's quantile depends on its own values only,
-    so each run gets its own bit for bit), one mask each to finish,
-    starve and seed bins, one pass over the bins that finish or starve,
-    and one gather of the kept seeds. The runs that go on hand their seeds
-    to the chain slab as one :class:`ChainRequest`. Only each run's
+    its later levels are populations of the chain slab, which it reads in
+    place. The runs whose populations come back at one step share one
+    level update: one bin count and one :func:`interp_quantile` over the
+    key ``run * J + bin`` (a bin's quantile depends on its own values
+    only, so each run gets its own bit for bit), one mask each to finish,
+    starve and seed bins, and one pass over the bins that finish or
+    starve. The runs that go on name their seeds by row of the
+    populations they read, in one :class:`ChainRequest`, and the slab
+    gathers them into their chains. Only each run's
     multinomial draw of resampling, in its own stream, its level record
     and its outcomes stay run by run. A run whose seeds fill its
     population takes no chain step; the slab hands its seeds back at once,
@@ -280,18 +277,20 @@ class DssGroup:
         self.bin_offsets = (np.arange(len(streams)) * partition.n_bins)[:, None]
 
     def send(self, ready: list[tuple]) -> list[tuple]:
-        """Take the new population of each ready run, ``None`` at the start,
-        when each requests its level-0 points; return the requests of the runs that go on."""
-        ks = [k for k, _ in ready]
-        shape = (len(ks), self.n)
+        """Take the new populations of the ready runs, ``None`` at the start,
+        when each requests its level-0 points; return the requests of the runs that go on.
+
+        Runs in adjacent rows of the chain slab come as one view of it; the
+        blocks of runs that are not adjacent there are stacked."""
+        ks = [k for runs, _ in ready for k in runs]
         if ready[0][1] is None:
-            return [(ks, shape)]
-        pts, gv, *bins = zip(*(v for _, v in ready))
-        pts = _stacked(pts, (*shape, -1))
+            return [(ks, (len(ks), self.n))]
+        pts, gv, *bins = (a[0] if len(a) == 1 else np.concatenate(a)
+                          for a in zip(*(v for _, v in ready)))
         # level 0's points come back without bins, and all runs' at one step
-        bins = (_stacked(bins[0], shape) if bins
-                else self.partition.classify(pts.reshape(-1, pts.shape[2])).reshape(shape))
-        return self._levels(ks, pts, _stacked(gv, shape), bins)
+        bins = bins[0] if bins else self.partition.classify(
+            pts.reshape(-1, pts.shape[2])).reshape(gv.shape)
+        return self._levels(ks, pts, gv, bins)
 
     def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:
         """End a level of runs ``ks`` from their populations, stacked run by run;
@@ -347,14 +346,14 @@ class DssGroup:
             return []
         going = rows[go]
         self.t[going] += 1
-        # the seeds, run by run, taken from the populations at once: with m <= n
+        # the seeds, run by run, named by row of the populations: with m <= n
         # seeds, each has an offspring, and one a second unless m == n; such a
         # run takes no chain step, and its seeds are its next population
         seed[stop] = False
         at, m = seed.ravel().nonzero()[0], n_seeds[go]
         streams = [self.streams[k] for k in going.tolist()]
         return [(going, ChainRequest(
-            pts.reshape(-1, pts.shape[2]).take(at, axis=0), gv.take(at), bins.take(at), m,
+            pts.reshape(-1, pts.shape[2]), gv.ravel(), bins.ravel(), at, m,
             residual_resample(m, self.n, streams), table[go],
         ))]
 

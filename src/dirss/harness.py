@@ -49,7 +49,9 @@ ALGORITHMS = ("mcs", "ss", "dss")
 # L2 cache on the 2-core Xeon it was measured on. Pairing the runs of
 # n*dim = 200000 (dSS, 1024 orthants, n=20000 in 10-D) cut their g-calls from
 # 35.5 to 21.7 a run; over 10 alternating 30 s bench pairs ms_per_run did not
-# rise (median -9.7%) and peak RSS went from 84.4 to 91.7 MB. A 2**19 cap pairs
+# rise (median -9.7%) and peak RSS went from 84.4 to 91.7 MB. Reading a pair's
+# populations in place in the slab, which gathers their seeds itself, then
+# brought it from 91.9 to 88.2 MB (10 more pairs, each lower). A 2**19 cap pairs
 # them too, but also doubles the groups of small runs: a 1000-run dSS batch at
 # n=500 in 2-D peaked at 72.1 MB instead of 59.3, with CPU time within noise.
 _GROUP_POINTS = 2**18

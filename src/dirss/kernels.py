@@ -38,9 +38,9 @@ class McmcConfig:
 
 
 def propagate_chains(
-    seed_points: np.ndarray,
-    seed_gvals: np.ndarray,
-    seed_bins: np.ndarray,
+    points: np.ndarray,
+    gvals: np.ndarray,
+    bins: np.ndarray,
     offspring: np.ndarray,
     gamma: np.ndarray,
     cfg: McmcConfig,
@@ -49,10 +49,11 @@ def propagate_chains(
     partition: Partition,
     ctr: EvalCounter,
 ):
-    """Grow one Markov chain per seed, all chains advanced in lockstep.
+    """Grow one Markov chain from each row of a population, all chains advanced in lockstep.
 
-    A seed with offspring count c contributes itself plus c - 1 kernel
-    steps; a seed with count 0 contributes nothing. A step proposes
+    Row i with offspring count c = ``offspring[i]`` is a seed that
+    contributes itself plus c - 1 kernel steps; a row with count 0 is no
+    seed and contributes nothing. A step proposes
     ``corr * state + sqrt(1 - corr**2) * eps``. ``gamma`` is the threshold
     table, -inf for a closed bin: a proposal in a closed bin is rejected
     before any g-evaluation (bin membership is free), one in bin j is
@@ -61,7 +62,8 @@ def propagate_chains(
     exactly ``offspring.sum()`` members, each within its bin's threshold.
     The level's normals come from one draw of ``stream``; each round
     evaluates its proposals in open bins on ``ls`` in one g-call, added
-    to ``ctr``: this is a :class:`ChainRequest` of one run, driven by
+    to ``ctr``: this is a :class:`ChainRequest` of one run, which names
+    its seeds by row of ``points``, ``gvals`` and ``bins``, driven by
     :func:`run_steps` as a group's are. Chains that take no step return
     at once, without a draw or a g-call.
 
@@ -70,14 +72,14 @@ def propagate_chains(
     (points, gvals, bins) : the new population, chains stored contiguously.
     """
     offspring = np.asarray(offspring, dtype=np.int64)
-    if offspring.shape != (seed_points.shape[0],):
+    if offspring.shape != (points.shape[0],):
         raise ConfigurationError("offspring counts must match the number of seeds")
-    keep = offspring > 0
-    if not keep.any():
+    seeds = offspring.nonzero()[0]
+    if not seeds.size:
         raise ConfigurationError("at least one seed needs a positive offspring count")
-    counts = offspring[keep]
-    request = ChainRequest(seed_points[keep], seed_gvals[keep], seed_bins[keep],
-                           np.array([counts.size]), counts, gamma[None])
+    counts = offspring[seeds]
+    request = ChainRequest(points, gvals, bins, seeds, np.array([seeds.size]), counts,
+                           gamma[None])
     chains = _Chains(request, ls, int(counts.sum()), partition, cfg, stream)
     try:
         return run_alone(chains)
@@ -93,8 +95,11 @@ class _Chains:
         self.streams, self.ctrs, self.results = [stream], [EvalCounter()], [None]
 
     def send(self, ready: list[tuple]) -> list[tuple]:
-        ((_, self.results[0]),) = ready  # None at the start, then the population
-        return [] if self.results[0] is not None else [([0], self.request)]
+        ((_, population),) = ready  # None at the start, then the population
+        if population is None:
+            return [([0], self.request)]
+        self.results[0] = tuple(a[0] for a in population)
+        return []
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,20 @@ class ChainRequest:
     them to get each run's new population back.
 
     Only the level's data: the stepper holds the partition, MCMC settings
-    and streams. The seeds are stacked run by run: run i brings the next
-    ``n_seeds[i]`` (at least 1) of ``points``, ``gvals`` and ``bins``, each
-    with its offspring count (at least 1) in ``counts``, and accepts by row
-    i of ``gamma``, the ``(runs, J)`` threshold table, -inf for a closed
-    bin. A run whose counts are all 1 takes no chain step: its seeds are
-    its population.
+    and streams. ``points``, ``gvals`` and ``bins`` are the rows that the
+    seeds are picked from, such as the populations the runs were handed,
+    and ``seeds`` names the seeds by row of them, run by run: run i brings
+    the next ``n_seeds[i]`` (at least 1) of ``seeds``, each with its
+    offspring count (at least 1) in ``counts``, and accepts by row i of
+    ``gamma``, the ``(runs, J)`` threshold table, -inf for a closed bin. A
+    run whose counts are all 1 takes no chain step: its seeds are its
+    population.
     """
 
     points: np.ndarray
     gvals: np.ndarray
     bins: np.ndarray
+    seeds: np.ndarray
     n_seeds: np.ndarray
     counts: np.ndarray
     gamma: np.ndarray
@@ -128,13 +136,15 @@ class _Lockstep:
     write, each chain's state being its last output, and its level's
     normals in draw order, which its rounds take after its cursor, chain
     by chain, so each run draws exactly what it draws alone. The runs of
-    a :class:`ChainRequest` enter their chains, and their rows of the
-    threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
-    bin, with one write of each array; only their normal draws stay run
-    by run. A round of every run's chains is one proposal expression, one
-    ``classify``, one table lookup, one write and one accept. A chain
-    with steps left is in ``live`` or in the queue, waiting on g; a run's
-    level ends when none of its chains is left.
+    a :class:`ChainRequest` enter their chains, gathering their seeds
+    into the chains' start rows, and their rows of the threshold table
+    ``gamma`` of shape ``(runs, J)``, -inf for a closed bin, with one
+    write of each array; only their normal draws stay run by run. A round
+    of every run's chains is one proposal expression, one ``classify``,
+    one table lookup, one write and one accept. A chain with steps left
+    is in ``live`` or in the queue, waiting on g; a run's level ends when
+    none of its chains is left, and the slab hands the runs whose levels
+    ended at one step over as views of their rows.
     """
 
     def __init__(self, stepper):
@@ -144,23 +154,23 @@ class _Lockstep:
         # the rows of the chains with steps left and no g-value pending, in order;
         # run k's start at k*n
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
+        self.ended: list[int] = []  # the runs whose level ended and that are not handed over
 
-    def add(self, ks, want) -> list[tuple]:
-        """Enter the chains of runs ``ks``, or draw and queue their points;
-        return the runs whose chains take no step, with their populations."""
+    def add(self, ks, want) -> None:
+        """Enter the chains of runs ``ks``, or draw and queue their points."""
         if isinstance(want, ChainRequest):
-            return self.enter(np.asarray(ks), want)
+            self.enter(np.asarray(ks), want)
+            return
         runs, size = want  # each run draws size points from its own stream
         points = np.empty((runs, size, self.stepper.ls.dimension))
         for k, out in zip(ks, points):
             self.stepper.streams[k].standard_normal(out=out)
         self.queue.append((points.reshape(runs * size, -1), ks, [size] * runs, None))
-        return []
 
-    def enter(self, ks: np.ndarray, want: ChainRequest) -> list[tuple]:
+    def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
-        array for all, and draw each run's normals from its own stream; return
-        the runs whose chains take no step, with their seeds as their populations."""
+        array for all, and draw each run's normals from its own stream; a run
+        whose chains take no step ends its level with its seeds as its population."""
         if self.partition is None:
             self.partition, self.corr = self.stepper.partition, self.stepper.mcmc.corr
             self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
@@ -175,19 +185,21 @@ class _Lockstep:
         if want.gamma.shape != (ks.size, self.n_bins):
             raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
                                      f"fit {ks.size} runs of {self.n_bins} bins")
-        m, counts = want.n_seeds, want.counts
+        m, counts, seeds = want.n_seeds, want.counts, want.seeds
         firsts = m.cumsum() - m  # each run's first seed
         size = np.add.reduceat(counts, firsts)
         if (size != self.n).any():
             raise ConfigurationError(
                 f"a population of {size[size != self.n][0]} does not fill the {self.n} rows "
                 "of a run")
-        # a seed's chain writes after the chains of its run's earlier seeds
+        # a seed's chain writes after the chains of its run's earlier seeds; each
+        # write gathers all its seeds before it writes any, so they may be rows
+        # of the slab that the runs were handed
         base = ks * self.n
         starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
         points = np.ascontiguousarray(want.points, dtype=float)
-        self.out_v[starts], self.out_g[starts] = points.view(self.out_v.dtype)[:, 0], want.gvals
-        self.out_b[starts] = want.bins
+        self.out_v[starts] = points.view(self.out_v.dtype)[:, 0].take(seeds)
+        self.out_g[starts], self.out_b[starts] = want.gvals.take(seeds), want.bins.take(seeds)
         chain = np.arange(counts.size) + (base - firsts).repeat(m)
         self.next[chain], self.last[chain] = starts + 1, starts + counts - 1
         self.cursor[ks], self.gamma[ks] = base, want.gamma
@@ -197,20 +209,33 @@ class _Lockstep:
         for k, b, s in zip(ks.tolist(), base.tolist(), steps.tolist()):
             if s:
                 self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
-        return [self._population(k) for k in ks[steps == 0].tolist()]
+        self.ended += ks[steps == 0].tolist()
 
-    def _population(self, k: int) -> tuple:
-        # a run whose level ended gets views of its rows, valid until its next request
-        s = slice(k * self.n, (k + 1) * self.n)
-        return k, (self.out_p[s], self.out_g[s], self.out_b[s])
+    def handoff(self) -> list[tuple]:
+        """The populations of the runs whose level ended, as ``(runs, (points,
+        gvals, bins))`` pairs: one view of the slab for each block of runs in
+        adjacent rows, stacked run by run, valid until the runs' next request."""
+        if not self.ended:
+            return []
+        blocks: list[list[int]] = []
+        for k in sorted(self.ended):
+            if blocks and blocks[-1][-1] == k - 1:
+                blocks[-1].append(k)
+            else:
+                blocks.append([k])
+        self.ended, out = [], []
+        for ks in blocks:
+            rows, shape = slice(ks[0] * self.n, (ks[-1] + 1) * self.n), (len(ks), self.n)
+            out.append((ks, (self.out_p[rows].reshape(*shape, -1),
+                             self.out_g[rows].reshape(shape), self.out_b[rows].reshape(shape))))
+        return out
 
-    def propose(self) -> list[tuple]:
+    def propose(self) -> None:
         """Queue a round of proposals of each run with chains in ``live``, and empty it.
 
         A run with no proposal in an open bin takes its round at once and
-        proposes again, as alone. Returns the runs whose level ended so.
+        proposes again, as alone, and may end its level so.
         """
-        ended = []
         while self.live.size:
             rows = self.live
             first = rows.searchsorted(self.bounds)  # each run's first row in rows
@@ -221,7 +246,7 @@ class _Lockstep:
             prop = (self.corr * self.out_p.take(at - 1, axis=0)
                     + self.scale * self.eps.take(draw, axis=0))
             pbins = self.partition.classify(prop)
-            gamma = self.gamma[rows // self.n, pbins]
+            gamma = self.gamma.take(rows // self.n * self.n_bins + pbins)
             ok = (gamma > -np.inf).nonzero()[0]
             stepped = cnt.nonzero()[0]
             n_ok = ok.searchsorted(first)
@@ -231,8 +256,7 @@ class _Lockstep:
             self.live = rows[:0]
             if np.count_nonzero(idle):
                 mine = idle.repeat(cnt[stepped])  # rows are sorted by run
-                self.live, done = self._advance(rows[mine], at[mine], stepped[idle])
-                ended += done
+                self.live = self._advance(rows[mine], at[mine], stepped[idle])
                 rows, at = rows[~mine], at[~mine]
                 stepped, n_points = stepped[~idle], n_points[~idle]
             if stepped.size:
@@ -240,7 +264,6 @@ class _Lockstep:
                     (prop.take(ok, axis=0), stepped.tolist(), n_points.tolist(),
                      (rows, at, *candidates, stepped))
                 )
-        return ended
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
         """g-values of the queued points, from one g-call if it succeeds, else
@@ -267,20 +290,20 @@ class _Lockstep:
         return gv, failed
 
     def accept(self, gv: np.ndarray) -> list[tuple]:
-        """Hand the queued points their g-values: ``(run, (points, gvals))`` for
-        drawn points, ``(run, population)`` for each run whose level ended;
-        put the chains of the others back in ``live``."""
-        ended, live, a = [], [], 0
+        """Hand the queued points their g-values: ``(runs, (points, gvals))`` for
+        drawn points, stacked run by run, and :meth:`handoff` for the runs whose
+        level ended; put the chains of the others back in ``live``."""
+        ready, live, a = [], [], 0
         for points, owners, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
             if chains is None:  # equal chunks of drawn points, run by run
-                ended += zip(owners, zip(np.split(points, len(owners)), np.split(g, len(owners))))
+                shape = (len(owners), -1)
+                ready.append((list(owners), (points.reshape(*shape, points.shape[1]),
+                                             g.reshape(shape))))
                 continue
             rows, at, slots, pbins, gamma, stepped = chains
-            left, done = self._advance(rows, at, stepped)
-            live.append(left)
-            ended += done
+            live.append(self._advance(rows, at, stepped))
             hit = g <= gamma
             acc = slots[hit]
             self.out_v[acc] = points.view(self.out_v.dtype)[hit, 0]
@@ -288,26 +311,39 @@ class _Lockstep:
         self.queue = []
         if live:  # rounds of different runs: a merge of sorted rows
             self.live = np.sort(np.concatenate(live), kind="stable") if len(live) > 1 else live[0]
-        return ended
+        return ready + self.handoff()
 
-    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> tuple:
+    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         """Write each chain's state on (accepted moves overwrite it); return the
-        chains with steps left, and the runs ``stepped`` none of whose chains is."""
+        chains with steps left, and end the level of the runs ``stepped`` none
+        of whose chains is."""
         prev = at - 1
         for out in (self.out_v, self.out_g, self.out_b):
             out[at] = out[prev]
         self.next[rows] = at + 1
         gone = at == self.last[rows]
         if not np.count_nonzero(gone):  # every chain has steps left
-            return rows, []
+            return rows
         left = rows[~gone]
         first = left.searchsorted(self.bounds)
-        done = stepped[first[stepped + 1] == first[stepped]].tolist()
-        return left, [self._population(k) for k in done]
+        self.ended += stepped[first[stepped + 1] == first[stepped]].tolist()
+        return left
 
     def drop(self, k: int) -> None:
         """Forget run k's chains."""
         self.live = self.live[self.live // self.n != k]
+
+
+def _without(ready: list[tuple], failed: dict) -> list[tuple]:
+    """The ``(runs, value)`` pairs of ``ready`` without the rows of the runs in ``failed``."""
+    out = []
+    for ks, value in ready:
+        keep = [i for i, k in enumerate(ks) if k not in failed]
+        if len(keep) == len(ks):
+            out.append((ks, value))
+        elif keep:
+            out.append(([ks[i] for i in keep], tuple(a[keep] for a in value)))
+    return out
 
 
 def run_steps(steps) -> list:
@@ -316,38 +352,44 @@ def run_steps(steps) -> list:
     The stepper holds the group: the problem ``ls``, the population size
     ``n``, each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and,
     if it requests chains, their ``partition`` and ``mcmc``. Its ``send``
-    takes ``(run, value)`` pairs of the runs that are ready, ``None`` for
-    each at the start, and returns ``(runs, request)`` pairs, ``runs`` a
-    list: a count ``(len(runs), size)``, each run's value then being
-    ``(points, gvals)`` of ``size`` points drawn from its stream, or a
-    :class:`ChainRequest` of the runs, each filling ``n`` rows, whose new
-    populations ``(points, gvals, bins)`` are. A run that ends sets its
-    entry of ``results``. A step makes one g-call (none without points)
-    for every run's points and every chain proposal in an open bin, each
-    run counting its own on its counter. A run whose chains take no step,
-    or no step that needs g, gets its population back within the step, as
-    often as it asks. A run whose own points make g fail ends with the
+    takes ``(runs, value)`` pairs of the runs that are ready, ``runs`` a
+    list and ``value`` the runs' arrays stacked run by run along their
+    first axis, or ``None`` for all runs at the start. It returns
+    ``(runs, request)`` pairs: a count ``(len(runs), size)``, the runs'
+    value then being ``(points, gvals)`` of ``size`` points each drawn
+    from its stream, or a :class:`ChainRequest` of the runs, each filling
+    ``n`` rows, whose new populations ``(points, gvals, bins)`` are, as
+    views of the chain slab, one for the runs in adjacent rows that end
+    a level at one step. A run that ends sets its entry of ``results``. A
+    step makes one g-call (none without points) for every run's points
+    and every chain proposal in an open bin, each run counting its own on
+    its counter. A run whose chains take no step, or no step that needs
+    g, gets its population back within the step, as often as it asks. A
+    run whose own points make g fail ends with the
     :class:`EvaluationError` as its result, and is not sent again.
     """
     step = _Lockstep(steps)
-    ready: list[tuple] = [(k, None) for k in range(step.runs)]
+    ready: list[tuple] = [(list(range(step.runs)), None)]
     while True:
-        # the values sent are let go before the requests take their memory, and
-        # the requests once the slab has taken them: a run holds one level's seeds
+        # the requests are let go once the slab has taken them: a run holds no
+        # copy of its seeds, which it names by row of the views it was sent
         wants, ready = steps.send(ready) if ready else (), []
         for ks, want in wants:
-            ready += step.add(ks, want)
+            step.add(ks, want)
         wants = want = None
-        ready += step.propose()
+        step.propose()
+        ready = step.handoff()
         if ready:
             continue
         if not step.queue:
             return steps.results
         gv, failed = step.evaluate()
-        ready = [(k, value) for k, value in step.accept(gv) if k not in failed]
+        ready = step.accept(gv)
         for k, exc in failed.items():
             steps.results[k] = exc
             step.drop(k)
+        if failed:
+            ready = _without(ready, failed)
 
 
 def run_alone(steps):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -90,6 +91,7 @@ def _problems():
     names = {f"faulty_{m}": partial(_faulty, m) for m in ("nan", "raise", "shape")}
     names["linear_d10"] = partial(make_linear, 3.0, 10, "linear_d10")
     names["linear_d6"] = partial(make_linear, 3.0, 6, "linear_d6")
+    names["linear35_d10"] = partial(make_linear, 3.5, 10, "linear35_d10")
     for name, make in names.items():
         register_problem(name, make)
     yield
@@ -208,8 +210,8 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
     def request(k):
         # one chain of 300 states from run k's seed
         seed = np.array([[-0.1 * (k + 1), 0.0]])
-        return ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([1]),
-                            np.array([300]), region)
+        return ChainRequest(seed, seed[:, 0], np.zeros(1, dtype=np.int64), np.array([0]),
+                            np.array([1]), np.array([300]), region)
 
     def stepper(ks, n=300):
         return _Requests(ls, n, make_halfspace(1, 2), McmcConfig(0.5),
@@ -436,7 +438,9 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
 
 
 def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
-    # else a level's seeds are still held while the next level's are gathered
+    # a request holds the rows its seeds are named by: held past the slab's
+    # gather, the level-0 draw or a stacked copy of runs that are not adjacent
+    # in the slab would outlive it, next to the populations the next level reads
     taken, held = [], []
     enter, send = kernels._Lockstep.enter, DssGroup.send
 
@@ -458,6 +462,48 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
     assert not any(held)
 
 
+@pytest.mark.filterwarnings("ignore:bin with probability")
+def test_a_pair_of_large_runs_reads_its_populations_in_the_slab(monkeypatch):
+    # two runs of n=20000 in 10-D over 1024 orthants, in adjacent slab rows:
+    # a level they end together is one view of the slab, and the slab gathers
+    # their seeds itself, so the pair peaks within README's n*(3*dim+12)*8
+    # bytes a run; stacking their populations and gathering their seeds
+    # outside the slab took it to 17.6 MB
+    slabs, reads = [], []
+    enter, levels = kernels._Lockstep.enter, DssGroup._levels
+
+    def logged_enter(self, ks, want):
+        slabs.append(self)
+        return enter(self, ks, want)
+
+    def logged_levels(self, ks, pts, gv, bins):
+        if slabs:  # level 0's points are drawn before the slab is made
+            slab = slabs[-1]
+            reads.append((len(ks), np.shares_memory(pts, slab.out_p)
+                          and np.shares_memory(gv, slab.out_g)
+                          and np.shares_memory(bins, slab.out_b)))
+        return levels(self, ks, pts, gv, bins)
+
+    monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
+    monkeypatch.setattr(DssGroup, "_levels", logged_levels)
+    cfg = ExperimentConfig("linear35_d10", "dss", 20000, partition="orthants", runs=2, seed=4)
+    replicate(dataclasses.replace(cfg, n=100))  # first-use allocations, outside the trace
+    slabs.clear()
+    reads.clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = replicate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert group_size(cfg, 10) == cfg.runs
+    assert peak <= cfg.runs * cfg.n * (3 * 10 + 12) * 8
+    assert (2, True) in reads  # a level the pair ended together
+    assert all(shared for _, shared in reads)
+    assert len(reads) >= max(r.levels for r in results) - 1
+
+
 class _Requests:
     """A stepper whose runs bring the chains of the given requests at the start,
     each request the next runs in order."""
@@ -471,8 +517,9 @@ class _Requests:
         if ready[0][1] is None:
             runs = iter(range(len(self.results)))
             return [([next(runs) for _ in r.n_seeds], r) for r in self.requests]
-        for k, population in ready:
-            self.results[k] = tuple(a.copy() for a in population)
+        for ks, populations in ready:
+            for k, *population in zip(ks, *populations):
+                self.results[k] = tuple(a.copy() for a in population)
         return []
 
 
@@ -490,11 +537,14 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
     active = np.array([[True, True], [True, False], [False, True]])
     gamma = np.where(active, [[g.max() + 0.5] * 2 for g in gvals], -np.inf)
     cfg = McmcConfig(0.7)
-    request = ChainRequest(
-        np.concatenate(seeds), np.concatenate(gvals),
-        np.concatenate([part.classify(p) for p in seeds]), np.array([7, n, 11]),
-        np.concatenate(counts), gamma,
-    )
+    # the seeds are named by row of a population that holds them in shuffled
+    # order among 5 rows that are no seeds, whose bin 99 does not exist
+    stacked = [np.concatenate(a) for a in (seeds, gvals, [part.classify(p) for p in seeds])]
+    at = rng.permutation(stacked[0].shape[0] + 5)[: stacked[0].shape[0]]
+    rows = [np.full((at.size + 5, *a.shape[1:]), 99, a.dtype) for a in stacked]
+    for row, a in zip(rows, stacked):
+        row[at] = a
+    request = ChainRequest(*rows, at, np.array([7, n, 11]), np.concatenate(counts), gamma)
     steps = _Requests(ls, n, part, cfg, [RandomStream(13, k) for k in range(3)], request)
     group, ctrs = run_steps(steps), steps.ctrs
     n_group, solo = len(calls.sizes), []
