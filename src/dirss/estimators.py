@@ -132,7 +132,7 @@ class McsGroup:
         check_count(n, "n", unit=" sample")
         self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
         self.done = 0  # points drawn by each live run
-        self.fail_pts: list[list] = [[] for _ in streams]
+        self.fail_pts: list[list | None] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
 
     def send(self, ready: list[tuple]) -> list[tuple]:
@@ -153,6 +153,7 @@ class McsGroup:
 
     def _finish(self, k: int) -> None:
         fail = np.vstack(self.fail_pts[k])
+        self.fail_pts[k] = None  # the result holds the one copy
         pf = len(fail) / self.n
         outcome = BinOutcome(0, "finished", 0, pf, pf, 0.0)
         record = LevelRecord(0, (0.0,), (self.n,), len(fail), pf, 0.0)
@@ -270,7 +271,7 @@ class DssGroup:
         self.starved_mass = np.zeros(len(streams))
         self.d = np.zeros(len(streams))
         self.outcomes: list[dict] = [{} for _ in streams]
-        self.fail_pts: list[list] = [[] for _ in streams]
+        self.fail_pts: list[list | None] = [[] for _ in streams]
         self.records: list[list] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
         self.rho_pow = np.ones(1)  # see _powers
@@ -318,14 +319,14 @@ class DssGroup:
         active &= ~closing
         self.gamma[rows], self.active[rows], self.empty_streak[rows] = gamma, active, empty_streak
         powers = self._powers(t.max() + 1)
-        if closing.any():
+        if np.count_nonzero(closing):
             self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key, counts_per_bin)
 
         # a seed lies at or below the threshold table, -inf for a closed bin but
         # for SS, whose last record counts its failing points (g-values are
         # finite); an SS run that goes on has its one bin open either way
         table = gamma if ss else np.where(active, gamma, -np.inf)
-        seed = gv <= table.ravel()[key]
+        seed = gv <= table.ravel().take(key)
         n_seeds = seed.sum(axis=1)
         d = self.d[rows]
         u = self.open_mass[rows] * powers[t + 1] + self.starved_mass[rows]
@@ -376,9 +377,9 @@ class DssGroup:
         if fin.size:
             # the failing points of the finished bins, gathered from all runs' flat
             # population at once, run by run and bin by bin
-            idx = (finish.ravel()[key] & (gv <= 0.0)).ravel().nonzero()[0]
-            fail_key = key.ravel()[idx]
-            idx = idx[fail_key.argsort(kind="stable")]
+            idx = (finish.ravel().take(key) & (gv <= 0.0)).ravel().nonzero()[0]
+            fail_key = key.ravel().take(idx)
+            idx = idx.take(fail_key.argsort(kind="stable"))
             n_fail = np.bincount(fail_key, minlength=counts.size).reshape(counts.shape)
             fr, fj = finish.nonzero()
             p_final = n_fail[fr, fj] / counts[fr, fj]
@@ -387,7 +388,7 @@ class DssGroup:
             for r, j, pf, pi in zip(fr.tolist(), fj.tolist(), p_final.tolist(), pi_hat.tolist()):
                 self.outcomes[ks[r]][j] = BinOutcome(j, "finished", levels[r], pf, pi, 0.0)
                 self.d[ks[r]] += pi
-            got = pts.reshape(-1, pts.shape[2])[idx]
+            got = pts.reshape(-1, pts.shape[2]).take(idx, axis=0)
             ends = np.bincount(idx // gv.shape[1], minlength=gv.shape[0])[fin].cumsum().tolist()
             for i, r in enumerate(fin.tolist()):
                 self.fail_pts[ks[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
@@ -414,3 +415,4 @@ class DssGroup:
             failure_points=_stack_points(self.fail_pts[k], self.ls.dimension),
             reason=_EXTINCT if status == "failed" else "",
         )
+        self.fail_pts[k] = None  # the result holds the one copy

@@ -587,6 +587,7 @@ def test_finished_run_keeps_its_results_while_the_group_runs_on():
         for k, res in enumerate(group.results):
             if res is not None and k not in snapshots:
                 snapshots[k] = _fields(res)
+                assert group.fail_pts[k] is None  # only the result holds its failure points
         return wants
 
     group.send = snapshot

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dirss import (
     ConfigurationError,
@@ -66,6 +68,32 @@ def test_angular_boundary_goes_to_left_closed_sector():
     on_cut, inside, before = part.classify(np.array([[0.0, 3.0], [-0.1, 3.0], [0.1, 3.0]]))
     assert on_cut == inside
     assert on_cut != before
+
+
+# the angles of points on the axes and of (1, 1) are cuts often enough to
+# hit the boundary rule exactly
+_ANGLES = st.one_of(st.floats(-math.pi, math.pi, exclude_min=True, allow_nan=False),
+                    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]))
+
+
+@given(
+    cuts=st.lists(_ANGLES, min_size=2, max_size=8, unique=True).map(sorted),
+    scales=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=4),
+    others=st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), max_size=20),
+)
+def test_angular_sector_is_the_cuts_at_or_below_the_angle(cuts, scales, others):
+    # sector j holds the angles in [cuts[j], cuts[j+1]); the angles below the
+    # first cut, the ones from the last cut on, and NaN wrap to the last sector
+    cuts = np.array(cuts)
+    part = make_angular_sectors_2d(cuts)
+    rays = np.stack([np.cos(cuts), np.sin(cuts)], axis=1)
+    special = [[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -0.0], [-1, 0.0], [0, 0], [-0.0, -0.0],
+               [1, 1], [math.nan, 0], [0, math.nan], [math.nan, math.nan]]
+    pts = np.concatenate([s * rays for s in scales] + [np.array(special), np.reshape(others, (-1, 2))])
+    sector = np.arange(cuts.size + 1) - 1
+    sector[0] = cuts.size - 1
+    expected = sector[cuts.searchsorted(np.arctan2(pts[:, 1], pts[:, 0]), side="right")]
+    np.testing.assert_array_equal(part.classify(pts), expected)
 
 
 def test_angular_validation():
