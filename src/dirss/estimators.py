@@ -227,9 +227,9 @@ class DssGroup:
     with ``algorithm="ss"`` and a single bin, :func:`run_ss`.
 
     Run k draws from ``streams[k]`` and counts on its own ``ctrs[k]``. Its
-    level 0 is ``n`` points that the lockstep loop draws from its stream,
-    its later levels are populations of the chain slab, which it reads in
-    place. The runs whose populations come back at one step share one
+    level 0 is ``n`` points that the lockstep loop draws from its stream
+    into its rows of the chain slab and classifies there, its later levels
+    are populations its chains write there: it reads every level in place. The runs whose populations come back at one step share one
     level update: one bin count and one :func:`interp_quantile` over the
     key ``run * J + bin`` (a bin's quantile depends on its own values
     only, so each run gets its own bit for bit), one mask each to finish,
@@ -281,16 +281,14 @@ class DssGroup:
         """Take the new populations of the ready runs, ``None`` at the start,
         when each requests its level-0 points; return the requests of the runs that go on.
 
-        Runs in adjacent rows of the chain slab come as one view of it; the
-        blocks of runs that are not adjacent there are stacked."""
+        A population comes with its bins, level 0's too. Runs in adjacent rows
+        of the chain slab come as one view of it; the blocks of runs that are
+        not adjacent there are stacked."""
         ks = [k for runs, _ in ready for k in runs]
         if ready[0][1] is None:
             return [(ks, (len(ks), self.n))]
-        pts, gv, *bins = (a[0] if len(a) == 1 else np.concatenate(a)
-                          for a in zip(*(v for _, v in ready)))
-        # level 0's points come back without bins, and all runs' at one step
-        bins = bins[0] if bins else self.partition.classify(
-            pts.reshape(-1, pts.shape[2])).reshape(gv.shape)
+        pts, gv, bins = (a[0] if len(a) == 1 else np.concatenate(a)
+                         for a in zip(*(v for _, v in ready)))
         return self._levels(ks, pts, gv, bins)
 
     def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:

@@ -155,9 +155,9 @@ def _checked_partition(cfg: ExperimentConfig, dimension: int) -> Partition:
 
 def group_size(cfg: ExperimentConfig, dimension: int) -> int:
     """Runs advanced together in one group: ``_GROUP_POINTS // (n * dim)``, at
-    least two while ``n * dim`` is at most ``_GROUP_POINTS``, else one."""
+    least three while ``n * dim`` is at most ``_GROUP_POINTS``, else one."""
     points = cfg.n * dimension
-    return max(1 + (points <= _GROUP_POINTS), _GROUP_POINTS // points)
+    return max(1 + 2 * (points <= _GROUP_POINTS), _GROUP_POINTS // points)
 
 
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:

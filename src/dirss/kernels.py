@@ -131,13 +131,14 @@ class _Lockstep:
     """A group of runs in lockstep: what they wait on this step, their chains in one slab.
 
     The group's fixed state is read off its stepper (see :func:`run_steps`),
-    and the slab is made when the first chains arrive. Run k owns rows
-    ``[k*n, (k+1)*n)`` of each slab array: the population its chains
+    and the slab is made when a stepper that requests chains first asks for
+    points. Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its first
+    population, drawn and classified there, then the populations its chains
     write, each chain's state being its last output, and its level's
     normals in draw order, which its rounds take after its cursor, chain
     by chain, so each run draws exactly what it draws alone. The runs of
     a :class:`ChainRequest` enter their chains, gathering their seeds
-    into the chains' start rows, and their rows of the threshold table
+    through their own rows of normals into the chains' start rows, and their rows of the threshold table
     ``gamma`` of shape ``(runs, J)``, -inf for a closed bin, with one
     write of each array; only their normal draws stay run by run. A round
     of every run's chains is one proposal expression, one ``classify``,
@@ -157,39 +158,62 @@ class _Lockstep:
 
     def __init__(self, stepper):
         self.stepper, self.runs, self.n = stepper, len(stepper.streams), stepper.n
-        self.partition = None  # the slab is made for the first chains
-        self.queue: list[tuple] = []  # (points, runs, point counts, chains round or None)
+        self.partition = None  # no slab until a stepper that requests chains asks for points
+        # (points, runs, point counts, then a chains round, the slab rows that the
+        # points were drawn into, or None)
+        self.queue: list[tuple] = []
         # the rows of the chains with steps left and no g-value pending, in order;
         # run k's start at k*n
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
         self.ended: list[int] = []  # the runs whose level ended and that are not handed over
 
     def add(self, ks, want) -> None:
-        """Enter the chains of runs ``ks``, or draw and queue their points."""
+        """Enter the chains of runs ``ks``, or draw and queue their points: into
+        their slab rows, classified, if the stepper requests chains."""
+        if self.partition is None and hasattr(self.stepper, "partition"):
+            self._make_slab()
         if isinstance(want, ChainRequest):
             self.enter(np.asarray(ks), want)
-            return
-        runs, size = want  # each run draws size points from its own stream
-        points = np.empty((runs, size, self.stepper.ls.dimension))
-        for k, out in zip(ks, points):
-            self.stepper.streams[k].standard_normal(out=out)
-        self.queue.append((points.reshape(runs * size, -1), ks, [size] * runs, None))
+        elif self.partition is not None:
+            self.draw(ks, want[1])
+        else:
+            runs, size = want  # each run draws size points from its own stream
+            points = np.empty((runs, size, self.stepper.ls.dimension))
+            for k, out in zip(ks, points):
+                self.stepper.streams[k].standard_normal(out=out)
+            self.queue.append((points.reshape(runs * size, -1), ks, [size] * runs, None))
+
+    def _make_slab(self) -> None:
+        self.partition, self.corr = self.stepper.partition, self.stepper.mcmc.corr
+        self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
+        rows, dim = self.runs * self.n, self.stepper.ls.dimension
+        self.out_p, self.eps = np.empty((2, rows, dim))
+        # a row as one item: fast moves
+        self.out_v, self.eps_v = (a.view(f"V{8 * dim}")[:, 0] for a in (self.out_p, self.eps))
+        self.out_g = np.empty(rows)
+        # per chain: the slot of its next output and of its last output
+        self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
+        self.gamma = np.empty((self.runs, self.n_bins))
+        self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
+
+    def draw(self, ks, size: int) -> None:
+        """Draw the first population of runs ``ks`` into their rows and classify it
+        there, and queue it for g; each block of runs in adjacent rows is one view."""
+        if size != self.n:
+            raise ConfigurationError(f"a draw of {size} points does not fill the {self.n} "
+                                     "rows of a run")
+        n = self.n
+        for block in _adjacent(ks):
+            rows = slice(block[0] * n, (block[-1] + 1) * n)
+            for k in block:
+                self.stepper.streams[k].standard_normal(out=self.out_p[k * n : (k + 1) * n])
+            self.out_b[rows] = self.partition.classify(self.out_p[rows])
+            self.queue.append((self.out_p[rows], block, [n] * len(block), rows))
 
     def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
         array for all, and draw each run's normals from its own stream; a run
         whose chains take no step ends its level with its seeds as its population."""
-        if self.partition is None:
-            self.partition, self.corr = self.stepper.partition, self.stepper.mcmc.corr
-            self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
-            rows, dim = self.runs * self.n, want.points.shape[1]
-            self.out_p, self.eps = np.empty((2, rows, dim))
-            self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
-            self.out_g = np.empty(rows)
-            # per chain: the slot of its next output and of its last output
-            self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
-            self.gamma = np.empty((self.runs, self.n_bins))
-            self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
         if want.gamma.shape != (ks.size, self.n_bins):
             raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
                                      f"fit {ks.size} runs of {self.n_bins} bins")
@@ -200,13 +224,22 @@ class _Lockstep:
             raise ConfigurationError(
                 f"a population of {size[size != self.n][0]} does not fill the {self.n} rows "
                 "of a run")
-        # a seed's chain writes after the chains of its run's earlier seeds; each
-        # write gathers all its seeds before it writes any, so they may be rows
-        # of the slab that the runs were handed
+        # a seed's chain writes after the chains of its run's earlier seeds. The
+        # seeds may be rows of the slab that the runs were handed, so all are
+        # gathered before any is written: a run's points go through its rows of
+        # eps, which are free until its normals are drawn, block of runs in
+        # adjacent rows by block, so that no population-sized copy is made
         base = ks * self.n
         starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
-        points = np.ascontiguousarray(want.points, dtype=float)
-        self.out_v[starts] = points.view(self.out_v.dtype)[:, 0].take(seeds)
+        points = np.ascontiguousarray(want.points, dtype=float).view(self.out_v.dtype)[:, 0]
+        cut = (np.diff(ks) != 1).nonzero()[0] + 1
+        lo, hi = np.r_[0, cut], np.r_[cut, ks.size]  # the blocks of runs in adjacent rows
+        spans = [(s, e, self.eps_v[b : b + e - s]) for s, e, b in zip(
+            firsts[lo].tolist(), (firsts + m)[hi - 1].tolist(), base[lo].tolist())]
+        for s, e, out in spans:
+            points.take(seeds[s:e], out=out, mode="clip")  # "raise" would buffer out
+        for s, e, out in spans:
+            self.out_v[starts[s:e]] = out
         self.out_g[starts], self.out_b[starts] = want.gvals.take(seeds), want.bins.take(seeds)
         chain = np.arange(counts.size) + (base - firsts).repeat(m)
         self.next[chain], self.last[chain] = starts + 1, starts + counts - 1
@@ -225,13 +258,7 @@ class _Lockstep:
         adjacent rows, stacked run by run, valid until the runs' next request."""
         if not self.ended:
             return []
-        blocks: list[list[int]] = []
-        for k in sorted(self.ended):
-            if blocks and blocks[-1][-1] == k - 1:
-                blocks[-1].append(k)
-            else:
-                blocks.append([k])
-        self.ended, out = [], []
+        blocks, self.ended, out = _adjacent(sorted(self.ended)), [], []
         for ks in blocks:
             rows, shape = slice(ks[0] * self.n, (ks[-1] + 1) * self.n), (len(ks), self.n)
             out.append((ks, (self.out_p[rows].reshape(*shape, -1),
@@ -300,8 +327,8 @@ class _Lockstep:
 
     def accept(self, gv: np.ndarray) -> list[tuple]:
         """Hand the queued points their g-values: ``(runs, (points, gvals))`` for
-        drawn points, stacked run by run, and :meth:`handoff` for the runs whose
-        level ended; put the chains of the others back in ``live``."""
+        points drawn outside the slab, stacked run by run, and :meth:`handoff` for
+        the runs whose level ended; put the chains of the others back in ``live``."""
         ready, live, a = [], [], 0
         for points, owners, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
@@ -310,6 +337,10 @@ class _Lockstep:
                 shape = (len(owners), -1)
                 ready.append((list(owners), (points.reshape(*shape, points.shape[1]),
                                              g.reshape(shape))))
+                continue
+            if isinstance(chains, slice):  # a first population, drawn into the slab
+                self.out_g[chains] = g
+                self.ended += owners
                 continue
             rows, at, slots, pbins, gamma, stepped = chains
             live.append(self._advance(rows, at, stepped))
@@ -343,6 +374,17 @@ class _Lockstep:
         self.live = self.live[self.live // self.n != k]
 
 
+def _adjacent(ks) -> list[list[int]]:
+    """Runs ``ks`` in blocks of runs in adjacent rows, in order."""
+    blocks: list[list[int]] = []
+    for k in ks:
+        if blocks and blocks[-1][-1] == k - 1:
+            blocks[-1].append(k)
+        else:
+            blocks.append([k])
+    return blocks
+
+
 def _without(ready: list[tuple], failed: dict) -> list[tuple]:
     """The ``(runs, value)`` pairs of ``ready`` without the rows of the runs in ``failed``."""
     out = []
@@ -364,13 +406,14 @@ def run_steps(steps) -> list:
     takes ``(runs, value)`` pairs of the runs that are ready, ``runs`` a
     list and ``value`` the runs' arrays stacked run by run along their
     first axis, or ``None`` for all runs at the start. It returns
-    ``(runs, request)`` pairs: a count ``(len(runs), size)``, the runs'
-    value then being ``(points, gvals)`` of ``size`` points each drawn
-    from its stream, or a :class:`ChainRequest` of the runs, each filling
-    ``n`` rows, whose new populations ``(points, gvals, bins)`` are, as
-    views of the chain slab, one for the runs in adjacent rows that end
-    a level at one step. A run that ends sets its entry of ``results``. A
-    step makes one g-call (none without points) for every run's points
+    ``(runs, request)`` pairs: a count ``(len(runs), size)`` of points each
+    run draws from its stream, or a :class:`ChainRequest` of the runs, each
+    filling ``n`` rows. For drawn points the runs' value is then ``(points,
+    gvals)``; but a stepper that requests chains draws ``size == n`` points
+    a run into the chain slab, and gets them back as it gets the new
+    populations of chains: ``(points, gvals, bins)``, as views of the slab,
+    one for the runs in adjacent rows that end a level at one step. A run
+    that ends sets its entry of ``results``. A step makes one g-call (none without points) for every run's points
     and every chain proposal in an open bin, each run counting its own on
     its counter. A run whose chains take no step, or no step that needs
     g, gets its population back within the step, as often as it asks. A

@@ -116,10 +116,10 @@ def _assert_matches_solo(cfg: ExperimentConfig, results) -> None:
 def test_group_size_rule():
     cfg = ExperimentConfig("piecewise_linear", "dss", 500)
     assert group_size(cfg, 2) == 262
-    # 2**17 < n * dim <= 2**18: runs share g-calls in pairs; beyond 2**18 alone
-    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 2
+    # n * dim <= 2**18: runs share g-calls at least three to a group; beyond 2**18 alone
+    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 3
     assert group_size(dataclasses.replace(cfg, n=26300), 10) == 1
-    assert group_size(dataclasses.replace(cfg, n=13000), 10) == 2
+    assert group_size(dataclasses.replace(cfg, n=13000), 10) == 3
 
 
 def test_replicate_looks_the_problem_up_once(monkeypatch):
@@ -235,10 +235,11 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
 
 
 @pytest.mark.parametrize("n, sizes", [
-    (26300, [26300] * 3), (13000, [26000, 13000]), (20000, [40000, 20000]),
+    (26300, [26300] * 3), (13000, [39000]), (20000, [60000]),
 ])
 def test_large_populations_run_in_small_groups(monkeypatch, n, sizes):
-    # n * dim = 263000 > 2**18 leaves every run alone; 130000 and 200000 pair them
+    # n * dim = 263000 > 2**18 leaves every run alone; at 130000 and 200000 the
+    # three runs are one group
     calls = _Calls()
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
         limitstate.get_problem(name)))
@@ -463,30 +464,31 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
-def test_a_pair_of_large_runs_reads_its_populations_in_the_slab(monkeypatch):
-    # two runs of n=20000 in 10-D over 1024 orthants, in adjacent slab rows:
-    # a level they end together is one view of the slab, and the slab gathers
-    # their seeds itself, so the pair peaks within README's n*(3*dim+12)*8
-    # bytes a run; stacking their populations and gathering their seeds
-    # outside the slab took it to 17.6 MB
+def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
+    # three runs of n=20000 in 10-D over 1024 orthants, one group: every level,
+    # level 0 included, comes back as views of the slab, one for the runs that
+    # end it at one step in adjacent rows, and the slab gathers their seeds
+    # through its own rows, so the group peaks within README's n*(3*dim+10)*8
+    # bytes a run; with level 0 drawn beside the slab and the seeds gathered
+    # through a copy, three runs took 21.2 MB
     slabs, reads = [], []
-    enter, levels = kernels._Lockstep.enter, DssGroup._levels
+    add, send = kernels._Lockstep.add, DssGroup.send
 
-    def logged_enter(self, ks, want):
+    def logged_add(self, ks, want):
         slabs.append(self)
-        return enter(self, ks, want)
+        return add(self, ks, want)
 
-    def logged_levels(self, ks, pts, gv, bins):
-        if slabs:  # level 0's points are drawn before the slab is made
+    def logged_send(self, ready):
+        if ready[0][1] is not None:
             slab = slabs[-1]
-            reads.append((len(ks), np.shares_memory(pts, slab.out_p)
-                          and np.shares_memory(gv, slab.out_g)
-                          and np.shares_memory(bins, slab.out_b)))
-        return levels(self, ks, pts, gv, bins)
+            for ks, value in ready:
+                reads.append((len(ks), all(np.shares_memory(a, b) for a, b in zip(
+                    value, (slab.out_p, slab.out_g, slab.out_b)))))
+        return send(self, ready)
 
-    monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
-    monkeypatch.setattr(DssGroup, "_levels", logged_levels)
-    cfg = ExperimentConfig("linear35_d10", "dss", 20000, partition="orthants", runs=2, seed=4)
+    monkeypatch.setattr(kernels._Lockstep, "add", logged_add)
+    monkeypatch.setattr(DssGroup, "send", logged_send)
+    cfg = ExperimentConfig("linear35_d10", "dss", 20000, partition="orthants", runs=3, seed=4)
     replicate(dataclasses.replace(cfg, n=100))  # first-use allocations, outside the trace
     slabs.clear()
     reads.clear()
@@ -498,10 +500,11 @@ def test_a_pair_of_large_runs_reads_its_populations_in_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert group_size(cfg, 10) == cfg.runs
-    assert peak <= cfg.runs * cfg.n * (3 * 10 + 12) * 8
-    assert (2, True) in reads  # a level the pair ended together
+    assert peak <= cfg.runs * cfg.n * (3 * 10 + 10) * 8
+    assert reads[0] == (3, True)  # level 0, one view of the three runs' rows
     assert all(shared for _, shared in reads)
-    assert len(reads) >= max(r.levels for r in results) - 1
+    assert sum(size for size, _ in reads) == sum(r.levels for r in results)
+    _assert_matches_solo(cfg, results)
 
 
 class _Requests:
