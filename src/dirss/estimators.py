@@ -228,19 +228,20 @@ class DssGroup:
 
     Run k draws from ``streams[k]`` and counts on its own ``ctrs[k]``. Its
     level 0 is ``n`` points that the lockstep loop draws from its stream
-    into its rows of the chain slab and classifies there, its later levels
-    are populations its chains write there: it reads every level in place. The runs whose populations come back at one step share one
+    into its rows of the chain slab and classifies there, its later
+    levels are populations its chains write there: it reads every level
+    in place. The runs whose populations come back at one step share one
     level update: one bin count and one :func:`interp_quantile` over the
     key ``run * J + bin`` (a bin's quantile depends on its own values
-    only, so each run gets its own bit for bit), one mask each to finish,
-    starve and seed bins, and one pass over the bins that finish or
-    starve. The runs that go on name their seeds by row of the
+    only, so each run gets its own bit for bit), one mask each to
+    finish, starve and seed bins, and one pass over the bins that finish
+    or starve. The runs that go on name their seeds by row of the
     populations they read, in one :class:`ChainRequest`, and the slab
-    gathers them into their chains. Only each run's
-    multinomial draw of resampling, in its own stream, its level record
-    and its outcomes stay run by run. A run whose seeds fill its
-    population takes no chain step; the slab hands its seeds back at once,
-    and its next level follows in the same step.
+    gathers them into their chains. Only each run's multinomial draw of
+    resampling, in its own stream, its level record and its outcomes
+    stay run by run. A run whose seeds fill its population takes no
+    chain step; the slab hands its seeds back at once, and its next
+    level follows in the same step.
     """
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,

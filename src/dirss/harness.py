@@ -41,19 +41,17 @@ from .partition import Partition, from_spec, make_single_bin
 ALGORITHMS = ("mcs", "ss", "dss")
 
 # Runs of a group share g-calls; a group holds _GROUP_POINTS // (n * dim) runs, but
-# two while _GROUP_POINTS / 2 < n * dim <= _GROUP_POINTS (see group_size). Chosen
-# by a sweep of 2**16 ... 2**20 over dSS and SS batches (n=500 to 4000, cheap g):
-# 2**18 was fastest, or within noise of 2**19, on each, and 2**19 peaked about
-# 10 MB higher; at 2**20 both 1000 cheap runs and groups of large runs
-# (n*dim=200000) were slower. A slab array of 2**18 float64 is 2 MiB, one core's
-# L2 cache on the 2-core Xeon it was measured on. Pairing the runs of
-# n*dim = 200000 (dSS, 1024 orthants, n=20000 in 10-D) cut their g-calls from
-# 35.5 to 21.7 a run; over 10 alternating 30 s bench pairs ms_per_run did not
-# rise (median -9.7%) and peak RSS went from 84.4 to 91.7 MB. Reading a pair's
-# populations in place in the slab, which gathers their seeds itself, then
-# brought it from 91.9 to 88.2 MB (10 more pairs, each lower). A 2**19 cap pairs
-# them too, but also doubles the groups of small runs: a 1000-run dSS batch at
-# n=500 in 2-D peaked at 72.1 MB instead of 59.3, with CPU time within noise.
+# at least three while n * dim <= _GROUP_POINTS (see group_size). Chosen by a sweep
+# of 2**16 ... 2**20 over dSS and SS batches (n=500 to 4000, cheap g): 2**18 was
+# fastest, or within noise of 2**19, on each, and 2**19 peaked about 10 MB higher;
+# at 2**20 both 1000 cheap runs and groups of large runs (n*dim=200000) were
+# slower. A slab array of 2**18 float64 is 2 MiB, one core's L2 cache on the
+# 2-core Xeon it was measured on. A group reads every level of its runs in its
+# slab and peaks at about n*(3*dim+10)*8 bytes a run (README): for n*dim = 200000
+# (dSS, 1024 orthants, n=20000 in 10-D) three runs peak at 17.0-18.9 MB of traced
+# memory, and share g-calls at 14.7 a run, against 21.7 in pairs and 35.5 alone.
+# Over 10 alternating 30 s bench pairs of triples against pairs, ms_per_run fell
+# by 3.9% in the median (lower in 8 of 10) and peak RSS rose from 88.0 to 92.5 MB.
 _GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from

@@ -130,22 +130,22 @@ class ChainRequest:
 class _Lockstep:
     """A group of runs in lockstep: what they wait on this step, their chains in one slab.
 
-    The group's fixed state is read off its stepper (see :func:`run_steps`),
-    and the slab is made when a stepper that requests chains first asks for
+    The group's fixed state is read off its stepper (see :func:`run_steps`), and
+    the slab is made when a stepper that requests chains first asks for
     points. Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its first
     population, drawn and classified there, then the populations its chains
-    write, each chain's state being its last output, and its level's
-    normals in draw order, which its rounds take after its cursor, chain
-    by chain, so each run draws exactly what it draws alone. The runs of
-    a :class:`ChainRequest` enter their chains, gathering their seeds
-    through their own rows of normals into the chains' start rows, and their rows of the threshold table
-    ``gamma`` of shape ``(runs, J)``, -inf for a closed bin, with one
-    write of each array; only their normal draws stay run by run. A round
-    of every run's chains is one proposal expression, one ``classify``,
-    one table lookup, one write and one accept. A chain with steps left
-    is in ``live`` or in the queue, waiting on g; a run's level ends when
-    none of its chains is left, and the slab hands the runs whose levels
-    ended at one step over as views of their rows.
+    write, each chain's state being its last output, and its level's normals
+    in draw order, which its rounds take after its cursor, chain by chain,
+    so each run draws exactly what it draws alone. The runs of a
+    :class:`ChainRequest` enter their chains, gathering their seeds through
+    their own rows of normals into the chains' start rows, and their rows of
+    the threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
+    bin, with one write of each array but the normals, which stay run by
+    run. A round of every run's chains is one proposal expression, one
+    ``classify``, one table lookup, one write and one accept. A chain with
+    steps left is in ``live`` or in the queue, waiting on g; a run's level
+    ends when none of its chains is left, and the slab hands the runs whose
+    levels ended at one step over as views of their rows.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -175,7 +175,7 @@ class _Lockstep:
         if isinstance(want, ChainRequest):
             self.enter(np.asarray(ks), want)
         elif self.partition is not None:
-            self.draw(ks, want[1])
+            self.draw(ks)
         else:
             runs, size = want  # each run draws size points from its own stream
             points = np.empty((runs, size, self.stepper.ls.dimension))
@@ -196,12 +196,10 @@ class _Lockstep:
         self.gamma = np.empty((self.runs, self.n_bins))
         self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
 
-    def draw(self, ks, size: int) -> None:
-        """Draw the first population of runs ``ks`` into their rows and classify it
-        there, and queue it for g; each block of runs in adjacent rows is one view."""
-        if size != self.n:
-            raise ConfigurationError(f"a draw of {size} points does not fill the {self.n} "
-                                     "rows of a run")
+    def draw(self, ks) -> None:
+        """Draw the first population of runs ``ks``, ``n`` points each, into their
+        rows, classify it there and queue it for g; each block of runs in adjacent
+        rows is one view."""
         n = self.n
         for block in _adjacent(ks):
             rows = slice(block[0] * n, (block[-1] + 1) * n)
@@ -232,10 +230,10 @@ class _Lockstep:
         base = ks * self.n
         starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
         points = np.ascontiguousarray(want.points, dtype=float).view(self.out_v.dtype)[:, 0]
-        cut = (np.diff(ks) != 1).nonzero()[0] + 1
-        lo, hi = np.r_[0, cut], np.r_[cut, ks.size]  # the blocks of runs in adjacent rows
+        cut = ((np.diff(ks) != 1).nonzero()[0] + 1).tolist()
+        lo, hi = [0, *cut], [i - 1 for i in cut] + [ks.size - 1]  # blocks of adjacent runs
         spans = [(s, e, self.eps_v[b : b + e - s]) for s, e, b in zip(
-            firsts[lo].tolist(), (firsts + m)[hi - 1].tolist(), base[lo].tolist())]
+            firsts.take(lo).tolist(), (firsts + m).take(hi).tolist(), base.take(lo).tolist())]
         for s, e, out in spans:
             points.take(seeds[s:e], out=out, mode="clip")  # "raise" would buffer out
         for s, e, out in spans:
@@ -400,24 +398,24 @@ def _without(ready: list[tuple], failed: dict) -> list[tuple]:
 def run_steps(steps) -> list:
     """Drive the runs of a group stepper in lockstep and return their results.
 
-    The stepper holds the group: the problem ``ls``, the population size
-    ``n``, each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and,
-    if it requests chains, their ``partition`` and ``mcmc``. Its ``send``
-    takes ``(runs, value)`` pairs of the runs that are ready, ``runs`` a
-    list and ``value`` the runs' arrays stacked run by run along their
-    first axis, or ``None`` for all runs at the start. It returns
-    ``(runs, request)`` pairs: a count ``(len(runs), size)`` of points each
-    run draws from its stream, or a :class:`ChainRequest` of the runs, each
-    filling ``n`` rows. For drawn points the runs' value is then ``(points,
-    gvals)``; but a stepper that requests chains draws ``size == n`` points
-    a run into the chain slab, and gets them back as it gets the new
-    populations of chains: ``(points, gvals, bins)``, as views of the slab,
-    one for the runs in adjacent rows that end a level at one step. A run
-    that ends sets its entry of ``results``. A step makes one g-call (none without points) for every run's points
-    and every chain proposal in an open bin, each run counting its own on
-    its counter. A run whose chains take no step, or no step that needs
-    g, gets its population back within the step, as often as it asks. A
-    run whose own points make g fail ends with the
+    The stepper holds the group: the problem ``ls``, the population size ``n``,
+    each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and, if it
+    requests chains, their ``partition`` and ``mcmc``. Its ``send`` takes
+    ``(runs, value)`` pairs of the runs that are ready, ``runs`` a list and
+    ``value`` the runs' arrays stacked run by run along their first axis, or
+    ``None`` for all runs at the start. It returns ``(runs, request)``
+    pairs: a count ``(len(runs), size)`` of points each run draws from its
+    stream, or a :class:`ChainRequest` of the runs, each filling ``n`` rows.
+    For drawn points the runs' value is then ``(points, gvals)``; but a
+    stepper that requests chains draws ``size == n`` points a run into the
+    chain slab, and gets them back as it gets the new populations of chains:
+    ``(points, gvals, bins)``, as views of the slab, one for the runs in
+    adjacent rows that end a level at one step. A run that ends sets its
+    entry of ``results``. A step makes one g-call (none without points) for
+    every run's points and every chain proposal in an open bin, each run
+    counting its own on its counter. A run whose chains take no step, or no
+    step that needs g, gets its population back within the step, as often as
+    it asks. A run whose own points make g fail ends with the
     :class:`EvaluationError` as its result, and is not sent again.
     """
     step = _Lockstep(steps)
