@@ -51,7 +51,7 @@ ALGORITHMS = ("mcs", "ss", "dss")
 # (dSS, 1024 orthants, n=20000 in 10-D) three runs peak at 17.0-18.9 MB of traced
 # memory, and share g-calls at 14.7 a run, against 21.7 in pairs and 35.5 alone.
 # Over 10 alternating 30 s bench pairs of triples against pairs, ms_per_run fell
-# by 3.9% in the median (lower in 8 of 10) and peak RSS rose from 88.0 to 92.5 MB.
+# by 4.5% in the median (lower in 7 of 10) and peak RSS rose from 88.0 to 92.5 MB.
 _GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from
