@@ -5,15 +5,14 @@ All three estimate P(g(Theta) <= 0) for Theta ~ N(0, I_n) and return a
 :class:`RunResult` carrying the estimate, the per-bin decomposition,
 per-level diagnostics, and the exact number of g-evaluations spent.
 
-One loop (``kernels.run_steps``) advances the estimators, alone for
-``run_mcs``, ``run_ss`` and ``run_dss`` and in groups for the replicate
-harness, whose runs share each step's g-call and chain slab. It drives
-one kind of client, a stepper for a whole group, which holds the group's
-fixed state and requests only what changes: ``McsGroup`` for MCS, whose
-runs ask for a count of points each step, and ``DssGroup`` for SS and
-dSS, which share one level loop and whose runs that end a level at the
-same step share one threshold update and one handoff of their seeds to
-the chain slab.
+The estimators run in groups, of one for ``run_mcs``, ``run_ss`` and
+``run_dss`` and larger for the replicate harness, whose runs share each
+step's g-call. ``McsGroup`` runs MCS itself, chunk by chunk. SS and dSS
+share one level loop, ``DssGroup``, a stepper that the lockstep loop
+``kernels.run_steps`` drives: it holds the group's fixed state and
+requests only what changes, and its runs share the chain slab; the runs
+that end a level at the same step share one threshold update and one
+handoff of their seeds to the slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -37,10 +36,12 @@ from .gaussian import RandomStream
 from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chains here
     ChainRequest,
     McmcConfig,
+    evaluate_joined,
     interp_quantile,
     propagate_chains,
     residual_resample,
     run_alone,
+    run_steps,
 )
 from .limitstate import EvalCounter, LimitState
 from .partition import Partition, make_single_bin
@@ -116,40 +117,46 @@ def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
 def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0, run as
     a :class:`McsGroup` of one."""
-    return run_alone(McsGroup(ls, n, [stream]))
+    return run_alone(McsGroup(ls, n, [stream]).run())
 
 
 class McsGroup:
-    """:func:`run_mcs` for a group of runs, as the stepper :func:`kernels.run_steps` drives.
+    """:func:`run_mcs` for a group of runs.
 
     Run k draws from ``streams[k]`` and counts its evaluations on its own
-    ``ctrs[k]``. Each step, every live run requests its next chunk of at
-    most ``_MCS_CHUNK`` points, which the lockstep loop draws from the
-    run's stream and evaluates in one g-call for the group.
+    ``ctrs[k]``. Each live run draws its next chunk of at most
+    ``_MCS_CHUNK`` points from its own stream, and the group's chunks are
+    evaluated in one g-call (:func:`kernels.evaluate_joined`); a run whose
+    points make g fail ends with the :class:`EvaluationError` as its
+    result and draws no further chunk.
     """
 
     def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
         check_count(n, "n", unit=" sample")
         self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
-        self.done = 0  # points drawn by each live run
         self.fail_pts: list[list | None] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
 
-    def send(self, ready: list[tuple]) -> list[tuple]:
-        """Take each ready run's last chunk and its g-values, ``None`` at the
-        start; request the runs' next chunks, or end the runs once all are drawn."""
-        if ready[0][1] is not None:
-            for ks, (pts, gv) in ready:
-                for k, p, g in zip(ks, pts, gv):
+    def run(self) -> list:
+        """Draw and evaluate every run's chunks; return the runs' results."""
+        live, done, dim = list(range(len(self.streams))), 0, self.ls.dimension
+        while live and done < self.n:
+            size = min(_MCS_CHUNK, self.n - done)
+            done += size
+            points = np.empty((len(live), size, dim))
+            for k, out in zip(live, points):
+                self.streams[k].standard_normal(out=out)
+            gv, failed = evaluate_joined(self.ls, points.reshape(-1, dim),
+                                         [(k, size) for k in live], self.ctrs)
+            for k, p, g in zip(live, points, gv.reshape(len(live), size)):
+                if k in failed:
+                    self.results[k] = failed[k]
+                else:
                     self.fail_pts[k].append(p[g <= 0.0])
-        ks = [k for runs, _ in ready for k in runs]
-        if self.done == self.n:
-            for k in ks:
-                self._finish(k)
-            return []
-        size = min(_MCS_CHUNK, self.n - self.done)
-        self.done += size
-        return [(ks, (len(ks), size))]
+            live = [k for k in live if k not in failed]
+        for k in live:
+            self._finish(k)
+        return self.results
 
     def _finish(self, k: int) -> None:
         fail = np.vstack(self.fail_pts[k])
@@ -185,8 +192,8 @@ def run_ss(
     """
     stream = RandomStream(0) if stream is None else stream
     # SS has no stop tolerance: any positive eps_tol
-    return run_alone(DssGroup(ls, make_single_bin(ls.dimension), n, rho, mcmc, 1.0,
-                              max_levels, [stream], "ss"))
+    return run_alone(run_steps(DssGroup(ls, make_single_bin(ls.dimension), n, rho, mcmc, 1.0,
+                                        max_levels, [stream], "ss")))
 
 
 def run_dss(
@@ -219,7 +226,8 @@ def run_dss(
     quantiles come from one sort of the population.
     """
     stream = RandomStream(0) if stream is None else stream
-    return run_alone(DssGroup(ls, partition, n, rho, mcmc, eps_tol, max_levels, [stream]))
+    return run_alone(run_steps(DssGroup(ls, partition, n, rho, mcmc, eps_tol, max_levels,
+                                        [stream])))
 
 
 class DssGroup:
@@ -230,18 +238,19 @@ class DssGroup:
     level 0 is ``n`` points that the lockstep loop draws from its stream
     into its rows of the chain slab and classifies there, its later
     levels are populations its chains write there: it reads every level
-    in place. The runs whose populations come back at one step share one
-    level update: one bin count and one :func:`interp_quantile` over the
-    key ``run * J + bin`` (a bin's quantile depends on its own values
-    only, so each run gets its own bit for bit), one mask each to
-    finish, starve and seed bins, and one pass over the bins that finish
-    or starve. The runs that go on name their seeds by row of the
-    populations they read, in one :class:`ChainRequest`, and the slab
-    gathers them into their chains. Only each run's multinomial draw of
-    resampling, in its own stream, its level record and its outcomes
-    stay run by run. A run whose seeds fill its population takes no
-    chain step; the slab hands its seeds back at once, and its next
-    level follows in the same step.
+    in place. The runs whose level ends at one step are handed the whole
+    slab, run k's population at index k, copy only their g-values and
+    bins, and share one level update: one bin count and one
+    :func:`interp_quantile` over the key ``run * J + bin`` (a bin's
+    quantile depends on its own values only, so each run gets its own bit
+    for bit), one mask each to finish, starve and seed bins, and one pass
+    over the bins that finish or starve. The runs that go on name their
+    seeds by row of the slab, in one :class:`ChainRequest`, and the slab
+    gathers them into their chains; failing points are gathered by slab
+    row too. Only each run's multinomial draw of resampling, in its own
+    stream, its level record and its outcomes stay run by run. A run
+    whose seeds fill its population takes no chain step; the slab hands
+    its seeds back at once, and its next level follows in the same step.
     """
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
@@ -278,25 +287,22 @@ class DssGroup:
         self.rho_pow = np.ones(1)  # see _powers
         self.bin_offsets = (np.arange(len(streams)) * partition.n_bins)[:, None]
 
-    def send(self, ready: list[tuple]) -> list[tuple]:
-        """Take the new populations of the ready runs, ``None`` at the start,
-        when each requests its level-0 points; return the requests of the runs that go on.
+    def send(self, ks: list[int], slab) -> list[tuple]:
+        """Take the runs ``ks`` whose level ended and the slab, run k's population
+        at index k with its bins, level 0's too, or ``None`` at the start, when
+        every run asks for its level 0; return the requests of the runs that go on."""
+        if slab is None:
+            return [(ks, None)]
+        return self._levels(ks, *slab)
 
-        A population comes with its bins, level 0's too. Runs in adjacent rows
-        of the chain slab come as one view of it; the blocks of runs that are
-        not adjacent there are stacked."""
-        ks = [k for runs, _ in ready for k in runs]
-        if ready[0][1] is None:
-            return [(ks, (len(ks), self.n))]
-        pts, gv, bins = (a[0] if len(a) == 1 else np.concatenate(a)
-                         for a in zip(*(v for _, v in ready)))
-        return self._levels(ks, pts, gv, bins)
-
-    def _levels(self, ks: list[int], pts, gv, bins) -> list[tuple]:
-        """End a level of runs ``ks`` from their populations, stacked run by run;
-        return one request for the chains of all the runs that go on."""
+    def _levels(self, ks: list[int], pts, slab_g, slab_b) -> list[tuple]:
+        """End a level of runs ``ks`` from the slab; return one request for the
+        chains of all the runs that go on, their seeds named by row of the slab."""
         rho, ss, rows = self.rho, self.algorithm == "ss", np.array(ks)
-        key = bins + self.bin_offsets[: rows.size]
+        # the runs' g-values and keys, n numbers each; points are read in the slab
+        gv, key = slab_g.take(rows, axis=0), slab_b.take(rows, axis=0)
+        key += self.bin_offsets[: rows.size]
+        shift = (rows - np.arange(rows.size)) * self.n  # from a run's row here to the slab's
         counts = np.bincount(key.ravel(), minlength=rows.size * self.p0.size)
         counts_per_bin = counts.reshape(rows.size, -1)
         active = self.active[rows]
@@ -319,7 +325,8 @@ class DssGroup:
         self.gamma[rows], self.active[rows], self.empty_streak[rows] = gamma, active, empty_streak
         powers = self._powers(t.max() + 1)
         if np.count_nonzero(closing):
-            self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key, counts_per_bin)
+            self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key,
+                             counts_per_bin, shift)
 
         # a seed lies at or below the threshold table, -inf for a closed bin but
         # for SS, whose last record counts its failing points (g-values are
@@ -346,14 +353,15 @@ class DssGroup:
             return []
         going = rows[go]
         self.t[going] += 1
-        # the seeds, run by run, named by row of the populations: with m <= n
-        # seeds, each has an offspring, and one a second unless m == n; such a
-        # run takes no chain step, and its seeds are its next population
+        # the seeds, run by run, named by row of the slab: with m <= n seeds,
+        # each has an offspring, and one a second unless m == n; such a run
+        # takes no chain step, and its seeds are its next population
         seed[stop] = False
-        at, m = seed.ravel().nonzero()[0], n_seeds[go]
+        m = n_seeds[go]
+        at = seed.ravel().nonzero()[0] + shift[go].repeat(m)
         streams = [self.streams[k] for k in going.tolist()]
         return [(going, ChainRequest(
-            pts.reshape(-1, pts.shape[2]), gv.ravel(), bins.ravel(), at, m,
+            pts.reshape(-1, pts.shape[2]), slab_g.ravel(), slab_b.ravel(), at, m,
             residual_resample(m, self.n, streams), table[go],
         ))]
 
@@ -363,7 +371,8 @@ class DssGroup:
             self.rho_pow = np.array([self.rho**i for i in range(2 * int(top) + 1)])
         return self.rho_pow
 
-    def _close_bins(self, ks, t, powers, starve, finish, active, pts, gv, key, counts) -> None:
+    def _close_bins(self, ks, t, powers, starve, finish, active, pts, gv, key, counts,
+                    shift) -> None:
         """Write off the starved bins and freeze the finished ones of the runs ``ks``
         at once; each run's outcomes and sums are made bin by bin, as alone."""
         p0 = self.p0
@@ -374,8 +383,8 @@ class DssGroup:
                 self.outcomes[ks[r]][j] = BinOutcome(j, "starved", None, None, 0.0, b)
         fin = finish.any(axis=1).nonzero()[0]  # the runs that finish bins
         if fin.size:
-            # the failing points of the finished bins, gathered from all runs' flat
-            # population at once, run by run and bin by bin
+            # the failing points of the finished bins, gathered from the slab at
+            # once, run by run and bin by bin
             idx = (finish.ravel().take(key) & (gv <= 0.0)).ravel().nonzero()[0]
             fail_key = key.ravel().take(idx)
             idx = idx.take(fail_key.argsort(kind="stable"))
@@ -387,8 +396,9 @@ class DssGroup:
             for r, j, pf, pi in zip(fr.tolist(), fj.tolist(), p_final.tolist(), pi_hat.tolist()):
                 self.outcomes[ks[r]][j] = BinOutcome(j, "finished", levels[r], pf, pi, 0.0)
                 self.d[ks[r]] += pi
-            got = pts.reshape(-1, pts.shape[2]).take(idx, axis=0)
-            ends = np.bincount(idx // gv.shape[1], minlength=gv.shape[0])[fin].cumsum().tolist()
+            run_of = idx // gv.shape[1]
+            got = pts.reshape(-1, pts.shape[2]).take(idx + shift.take(run_of), axis=0)
+            ends = np.bincount(run_of, minlength=gv.shape[0])[fin].cumsum().tolist()
             for i, r in enumerate(fin.tolist()):
                 self.fail_pts[ks[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
         for r in (starve | finish).any(axis=1).nonzero()[0].tolist():

@@ -47,8 +47,8 @@ ALGORITHMS = ("mcs", "ss", "dss")
 # at 2**20 both 1000 cheap runs and groups of large runs (n*dim=200000) were
 # slower. A slab array of 2**18 float64 is 2 MiB, one core's L2 cache on the
 # 2-core Xeon it was measured on. A group reads every level of its runs in its
-# slab and peaks at about n*(3*dim+10)*8 bytes a run (README): for n*dim = 200000
-# (dSS, 1024 orthants, n=20000 in 10-D) three runs peak at 17.0-18.9 MB of traced
+# slab and peaks at about n*(3*dim+9)*8 bytes a run (README): for n*dim = 200000
+# (dSS, 1024 orthants, n=20000 in 10-D) three runs peak at 17.0-17.55 MB of traced
 # memory, and share g-calls at 14.7 a run, against 21.7 in pairs and 35.5 alone.
 # Over 10 alternating 30 s bench pairs of triples against pairs, ms_per_run fell
 # by 4.5% in the median (lower in 7 of 10) and peak RSS rose from 88.0 to 92.5 MB.
@@ -175,9 +175,10 @@ def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:
 def run_group(cfg: ExperimentConfig, stream_ids: Sequence[int]) -> list[RunResult]:
     """Execute the runs with the given stream ids in lockstep.
 
-    Each step, one g-call and one chain slab serve every run
-    (:func:`dirss.kernels.run_steps`), and one threshold update every SS
-    or dSS run whose level ends; exactly the runs whose own points make g
+    Each step, one g-call serves every run: a chunk of Monte Carlo, or a
+    round of the SS or dSS runs' chains in one slab
+    (:func:`dirss.kernels.run_steps`), which share one threshold update
+    among the runs whose level ends; exactly the runs whose own points make g
     fail end "failed". Results equal :func:`run_single`'s, run by run.
     """
     ls = build_problem(cfg)
@@ -188,12 +189,10 @@ def _run_group(cfg: ExperimentConfig, ls: LimitState, part: Partition,
                stream_ids: Sequence[int]) -> list[RunResult]:
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
-        steps = McsGroup(ls, cfg.n, streams)
+        done = McsGroup(ls, cfg.n, streams).run()
     else:  # SS is dSS with a single bin
-        steps = DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr), cfg.eps_tol,
-                         cfg.max_levels, streams, cfg.algorithm)
-
-    done = run_steps(steps)
+        done = run_steps(DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr),
+                                  cfg.eps_tol, cfg.max_levels, streams, cfg.algorithm))
     return [_failed_run(cfg, ls, part, r) if isinstance(r, EvaluationError) else r for r in done]
 
 

@@ -82,7 +82,7 @@ def propagate_chains(
                            gamma[None])
     chains = _Chains(request, ls, int(counts.sum()), partition, cfg, stream)
     try:
-        return run_alone(chains)
+        return run_alone(run_steps(chains))
     finally:
         ctr.add(chains.ctrs[0].count)
 
@@ -94,11 +94,10 @@ class _Chains:
         self.request, self.ls, self.n, self.partition, self.mcmc = request, ls, n, partition, mcmc
         self.streams, self.ctrs, self.results = [stream], [EvalCounter()], [None]
 
-    def send(self, ready: list[tuple]) -> list[tuple]:
-        ((_, population),) = ready  # None at the start, then the population
-        if population is None:
+    def send(self, ks: list[int], slab) -> list[tuple]:
+        if slab is None:  # the start
             return [([0], self.request)]
-        self.results[0] = tuple(a[0] for a in population)
+        self.results[0] = tuple(a[0] for a in slab)
         return []
 
 
@@ -130,13 +129,12 @@ class ChainRequest:
 class _Lockstep:
     """A group of runs in lockstep: what they wait on this step, their chains in one slab.
 
-    The group's fixed state is read off its stepper (see :func:`run_steps`), and
-    the slab is made when a stepper that requests chains first asks for
-    points. Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its first
-    population, drawn and classified there, then the populations its chains
-    write, each chain's state being its last output, and its level's normals
-    in draw order, which its rounds take after its cursor, chain by chain,
-    so each run draws exactly what it draws alone. The runs of a
+    The group's fixed state is read off its stepper (see :func:`run_steps`).
+    Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its level 0,
+    drawn and classified there, then the populations its chains write, each
+    chain's state being its last output, and its level's normals in draw
+    order, which its rounds take after its cursor, chain by chain, so each
+    run draws exactly what it draws alone. The runs of a
     :class:`ChainRequest` enter their chains, gathering their seeds through
     their own rows of normals into the chains' start rows, and their rows of
     the threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
@@ -144,8 +142,8 @@ class _Lockstep:
     run. A round of every run's chains is one proposal expression, one
     ``classify``, one table lookup, one write and one accept. A chain with
     steps left is in ``live`` or in the queue, waiting on g; a run's level
-    ends when none of its chains is left, and the slab hands the runs whose
-    levels ended at one step over as views of their rows.
+    ends when none of its chains is left, and the runs whose levels ended
+    at one step are handed the whole slab, run k's population at index k.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -158,35 +156,9 @@ class _Lockstep:
 
     def __init__(self, stepper):
         self.stepper, self.runs, self.n = stepper, len(stepper.streams), stepper.n
-        self.partition = None  # no slab until a stepper that requests chains asks for points
-        # (points, runs, point counts, then a chains round, the slab rows that the
-        # points were drawn into, or None)
-        self.queue: list[tuple] = []
-        # the rows of the chains with steps left and no g-value pending, in order;
-        # run k's start at k*n
-        self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
-        self.ended: list[int] = []  # the runs whose level ended and that are not handed over
-
-    def add(self, ks, want) -> None:
-        """Enter the chains of runs ``ks``, or draw and queue their points: into
-        their slab rows, classified, if the stepper requests chains."""
-        if self.partition is None and hasattr(self.stepper, "partition"):
-            self._make_slab()
-        if isinstance(want, ChainRequest):
-            self.enter(np.asarray(ks), want)
-        elif self.partition is not None:
-            self.draw(ks)
-        else:
-            runs, size = want  # each run draws size points from its own stream
-            points = np.empty((runs, size, self.stepper.ls.dimension))
-            for k, out in zip(ks, points):
-                self.stepper.streams[k].standard_normal(out=out)
-            self.queue.append((points.reshape(runs * size, -1), ks, [size] * runs, None))
-
-    def _make_slab(self) -> None:
-        self.partition, self.corr = self.stepper.partition, self.stepper.mcmc.corr
+        self.partition, self.corr = stepper.partition, stepper.mcmc.corr
         self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
-        rows, dim = self.runs * self.n, self.stepper.ls.dimension
+        rows, dim = self.runs * self.n, stepper.ls.dimension
         self.out_p, self.eps = np.empty((2, rows, dim))
         # a row as one item: fast moves
         self.out_v, self.eps_v = (a.view(f"V{8 * dim}")[:, 0] for a in (self.out_p, self.eps))
@@ -195,18 +167,31 @@ class _Lockstep:
         self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
         self.gamma = np.empty((self.runs, self.n_bins))
         self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
+        shape = (self.runs, self.n)  # what a handoff hands over
+        self.slab = (self.out_p.reshape(*shape, dim), self.out_g.reshape(shape),
+                     self.out_b.reshape(shape))
+        # (points, runs, point counts, then a chains round, or the rows of level 0)
+        self.queue: list[tuple] = []
+        # the rows of the chains with steps left and no g-value pending, in order;
+        # run k's start at k*n
+        self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
+        self.ended: list[int] = []  # the runs whose level ended and that are not handed over
 
-    def draw(self, ks) -> None:
-        """Draw the first population of runs ``ks``, ``n`` points each, into their
-        rows, classify it there and queue it for g; each block of runs in adjacent
-        rows is one view."""
-        n = self.n
-        for block in _adjacent(ks):
-            rows = slice(block[0] * n, (block[-1] + 1) * n)
-            for k in block:
-                self.stepper.streams[k].standard_normal(out=self.out_p[k * n : (k + 1) * n])
-            self.out_b[rows] = self.partition.classify(self.out_p[rows])
-            self.queue.append((self.out_p[rows], block, [n] * len(block), rows))
+    def add(self, ks, want) -> None:
+        """Enter the chains of runs ``ks``, or, for ``None``, draw every run's level 0."""
+        if want is None:
+            self.draw()
+        else:
+            self.enter(np.asarray(ks), want)
+
+    def draw(self) -> None:
+        """Draw every run's level 0, ``n`` points from its own stream, into its rows,
+        classify it there and queue it for g."""
+        n, ks = self.n, list(range(self.runs))
+        for k in ks:
+            self.stepper.streams[k].standard_normal(out=self.out_p[k * n : (k + 1) * n])
+        self.out_b[:] = self.partition.classify(self.out_p)
+        self.queue.append((self.out_p, ks, [n] * self.runs, slice(None)))
 
     def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
@@ -250,18 +235,11 @@ class _Lockstep:
                 self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
         self.ended += ks[steps == 0].tolist()
 
-    def handoff(self) -> list[tuple]:
-        """The populations of the runs whose level ended, as ``(runs, (points,
-        gvals, bins))`` pairs: one view of the slab for each block of runs in
-        adjacent rows, stacked run by run, valid until the runs' next request."""
-        if not self.ended:
-            return []
-        blocks, self.ended, out = _adjacent(sorted(self.ended)), [], []
-        for ks in blocks:
-            rows, shape = slice(ks[0] * self.n, (ks[-1] + 1) * self.n), (len(ks), self.n)
-            out.append((ks, (self.out_p[rows].reshape(*shape, -1),
-                             self.out_g[rows].reshape(shape), self.out_b[rows].reshape(shape))))
-        return out
+    def handoff(self) -> tuple[list[int], tuple]:
+        """The runs whose level ended, in order, and the slab ``(points, gvals,
+        bins)``, run k's population at index k, valid until the runs' next request."""
+        ended, self.ended = sorted(self.ended), []
+        return ended, self.slab
 
     def propose(self) -> None:
         """Queue a round of proposals of each run with chains in ``live``, and empty it.
@@ -300,43 +278,21 @@ class _Lockstep:
                 )
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
-        """g-values of the queued points, from one g-call if it succeeds, else
-        run by run; a run whose points make g fail maps to its error (its values unset)."""
-        ls, ctrs = self.stepper.ls, self.stepper.ctrs
+        """:func:`evaluate_joined` of the queued points."""
         points = [q[0] for q in self.queue]
         points = np.concatenate(points) if len(points) > 1 else points[0]
         owners = [(k, size) for q in self.queue for k, size in zip(q[1], q[2])]
-        if len(owners) > 1:
-            try:
-                gv = evaluate_batch(ls, points, EvalCounter())
-                for k, size in owners:
-                    ctrs[k].add(size)
-                return gv, {}
-            except EvaluationError:
-                pass
-        gv, failed, a = np.empty(points.shape[0]), {}, 0
-        for k, size in owners:
-            try:
-                gv[a : a + size] = evaluate_batch(ls, points[a : a + size], ctrs[k])
-            except EvaluationError as exc:
-                failed[k] = exc
-            a += size
-        return gv, failed
+        return evaluate_joined(self.stepper.ls, points, owners, self.stepper.ctrs)
 
-    def accept(self, gv: np.ndarray) -> list[tuple]:
-        """Hand the queued points their g-values: ``(runs, (points, gvals))`` for
-        points drawn outside the slab, stacked run by run, and :meth:`handoff` for
-        the runs whose level ended; put the chains of the others back in ``live``."""
-        ready, live, a = [], [], 0
+    def accept(self, gv: np.ndarray) -> None:
+        """Hand the queued points their g-values: level 0's into the slab, and the
+        accepted moves into their slots; put the chains of the runs whose level
+        goes on back in ``live``."""
+        live, a = [], 0
         for points, owners, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
-            if chains is None:  # equal chunks of drawn points, run by run
-                shape = (len(owners), -1)
-                ready.append((list(owners), (points.reshape(*shape, points.shape[1]),
-                                             g.reshape(shape))))
-                continue
-            if isinstance(chains, slice):  # a first population, drawn into the slab
+            if isinstance(chains, slice):  # level 0, drawn into the slab
                 self.out_g[chains] = g
                 self.ended += owners
                 continue
@@ -349,7 +305,6 @@ class _Lockstep:
         self.queue = []
         if live:  # rounds of different runs: a merge of sorted rows
             self.live = np.sort(np.concatenate(live), kind="stable") if len(live) > 1 else live[0]
-        return ready + self.handoff()
 
     def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         """Write each chain's state on (accepted moves overwrite it); return the
@@ -372,79 +327,75 @@ class _Lockstep:
         self.live = self.live[self.live // self.n != k]
 
 
-def _adjacent(ks) -> list[list[int]]:
-    """Runs ``ks`` in blocks of runs in adjacent rows, in order."""
-    blocks: list[list[int]] = []
-    for k in ks:
-        if blocks and blocks[-1][-1] == k - 1:
-            blocks[-1].append(k)
-        else:
-            blocks.append([k])
-    return blocks
-
-
-def _without(ready: list[tuple], failed: dict) -> list[tuple]:
-    """The ``(runs, value)`` pairs of ``ready`` without the rows of the runs in ``failed``."""
-    out = []
-    for ks, value in ready:
-        keep = [i for i, k in enumerate(ks) if k not in failed]
-        if len(keep) == len(ks):
-            out.append((ks, value))
-        elif keep:
-            out.append(([ks[i] for i in keep], tuple(a[keep] for a in value)))
-    return out
+def evaluate_joined(ls: LimitState, points: np.ndarray, owners: list[tuple[int, int]],
+                    ctrs: list[EvalCounter]) -> tuple[np.ndarray, dict]:
+    """g-values of ``points``, the points of the ``(run, size)`` pairs of ``owners``
+    stacked in that order: from one g-call if it succeeds, else run by run, each
+    run counting its own on ``ctrs[run]``; a run whose points make g fail maps to
+    its error (its values unset)."""
+    if len(owners) > 1:
+        try:
+            gv = evaluate_batch(ls, points, EvalCounter())
+            for k, size in owners:
+                ctrs[k].add(size)
+            return gv, {}
+        except EvaluationError:
+            pass
+    gv, failed, a = np.empty(points.shape[0]), {}, 0
+    for k, size in owners:
+        try:
+            gv[a : a + size] = evaluate_batch(ls, points[a : a + size], ctrs[k])
+        except EvaluationError as exc:
+            failed[k] = exc
+        a += size
+    return gv, failed
 
 
 def run_steps(steps) -> list:
     """Drive the runs of a group stepper in lockstep and return their results.
 
     The stepper holds the group: the problem ``ls``, the population size ``n``,
-    each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and, if it
-    requests chains, their ``partition`` and ``mcmc``. Its ``send`` takes
-    ``(runs, value)`` pairs of the runs that are ready, ``runs`` a list and
-    ``value`` the runs' arrays stacked run by run along their first axis, or
-    ``None`` for all runs at the start. It returns ``(runs, request)``
-    pairs: a count ``(len(runs), size)`` of points each run draws from its
-    stream, or a :class:`ChainRequest` of the runs, each filling ``n`` rows.
-    For drawn points the runs' value is then ``(points, gvals)``; but a
-    stepper that requests chains draws ``size == n`` points a run into the
-    chain slab, and gets them back as it gets the new populations of chains:
-    ``(points, gvals, bins)``, as views of the slab, one for the runs in
-    adjacent rows that end a level at one step. A run that ends sets its
-    entry of ``results``. A step makes one g-call (none without points) for
-    every run's points and every chain proposal in an open bin, each run
-    counting its own on its counter. A run whose chains take no step, or no
-    step that needs g, gets its population back within the step, as often as
-    it asks. A run whose own points make g fail ends with the
+    each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and their
+    ``partition`` and ``mcmc``. Its ``send(ks, slab)`` takes the runs ``ks``
+    whose level ended at one step, in order, and the slab ``(points, gvals,
+    bins)``, run k's population at index k, as views valid until the runs'
+    next request: at the start, every run and ``None``. It returns ``(runs,
+    request)`` pairs: ``None`` at the start, for each run's level 0 of ``n``
+    points, which it draws from its stream into its rows of the slab, or a
+    :class:`ChainRequest` of the runs, each filling ``n`` rows. A run that
+    ends sets its entry of ``results``. A step makes one g-call (none without
+    points) for every level 0 and every chain proposal in an open bin, each
+    run counting its own on its counter. A run whose chains take no step, or
+    no step that needs g, gets its population back within the step, as often
+    as it asks. A run whose own points make g fail ends with the
     :class:`EvaluationError` as its result, and is not sent again.
     """
     step = _Lockstep(steps)
-    ready: list[tuple] = [(list(range(step.runs)), None)]
+    ks, slab = list(range(step.runs)), None
     while True:
         # the requests are let go once the slab has taken them: a run holds no
-        # copy of its seeds, which it names by row of the views it was sent
-        wants, ready = steps.send(ready) if ready else (), []
-        for ks, want in wants:
-            step.add(ks, want)
-        wants = want = None
+        # copy of its seeds, which it names by row of the slab
+        for runs, want in steps.send(ks, slab) if ks else ():
+            step.add(runs, want)
+        want = None
         step.propose()
-        ready = step.handoff()
-        if ready:
+        ks, slab = step.handoff()
+        if ks:
             continue
         if not step.queue:
             return steps.results
         gv, failed = step.evaluate()
-        ready = step.accept(gv)
+        step.accept(gv)
         for k, exc in failed.items():
             steps.results[k] = exc
             step.drop(k)
-        if failed:
-            ready = _without(ready, failed)
+        ks, slab = step.handoff()
+        ks = [k for k in ks if k not in failed]
 
 
-def run_alone(steps):
-    """:func:`run_steps` for a stepper of one run; an :class:`EvaluationError` is raised."""
-    out = run_steps(steps)[0]
+def run_alone(results: list):
+    """The result of a group of one; an :class:`EvaluationError` is raised."""
+    out = results[0]
     if isinstance(out, EvaluationError):
         raise out
     return out

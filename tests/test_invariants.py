@@ -6,11 +6,20 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dirss import ExperimentConfig, LimitState, limitstate, make_linear, register_problem, replicate
+from dirss import (
+    ExperimentConfig,
+    LimitState,
+    limitstate,
+    make_linear,
+    make_piecewise_linear,
+    register_problem,
+    replicate,
+)
 from dirss.harness import build_partition, build_problem
 
 CASE1 = (-math.pi + 0.8, 0.8)
@@ -43,11 +52,25 @@ class _Points:
         return dataclasses.replace(ls, evaluator=g)
 
 
+def _faulty_nan() -> LimitState:
+    """piecewise_linear, except that g returns NaN at a fixed 2e-4 of the points."""
+    base = make_piecewise_linear()
+
+    def g(pts):
+        gv = base.evaluator(pts)
+        gv[np.modf(np.abs(pts[:, 0]) * 1e4)[0] < 2e-4] = np.nan
+        return gv
+
+    return LimitState("invariants_faulty_nan", 2, g)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _problems():
     register_problem("invariants_linear_d3", lambda: make_linear(2.5, 3, "invariants_linear_d3"))
+    register_problem("invariants_faulty_nan", _faulty_nan)
     yield
-    limitstate._REGISTRY.pop("invariants_linear_d3", None)
+    for name in ("invariants_linear_d3", "invariants_faulty_nan"):
+        limitstate._REGISTRY.pop(name, None)
 
 
 @st.composite
@@ -94,3 +117,22 @@ def test_dss_invariants(cfg):
             assert o.pi_hat == float(p0[o.bin]) * cfg.rho**o.level * o.p_final
         assert res.pf_hat == sum(o.pi_hat for o in finished)
         assert res.unresolved_bound == sum(o.bound for o in res.bin_outcomes)
+
+
+# Fails until a run is charged its points of a shared g-call that faults: the
+# call is repeated run by run (kernels.evaluate_joined) and the first pass is
+# counted in no run's n_evals (CHANGES.md, the FOUND entry on
+# `kernels._Lockstep.evaluate`'s uncounted first pass; ROADMAP item 4).
+@pytest.mark.xfail(strict=True, reason="a faulted shared g-call is counted in no run")
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig("invariants_faulty_nan", "ss", 100, runs=12, seed=6),
+    ExperimentConfig("invariants_faulty_nan", "mcs", 3000, runs=4, seed=0),
+], ids=["ss", "mcs"])
+def test_g_sees_the_points_the_runs_count_when_g_faults(cfg):
+    seen = _Points()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dirss.harness.get_problem", lambda name: seen.wrap(
+            limitstate.get_problem(name)))
+        results = replicate(cfg)
+    assert 0 < sum(r.status == "failed" for r in results) < cfg.runs
+    assert sum(r.n_evals for r in results) == seen.count

@@ -32,6 +32,7 @@ from dirss import (
     make_piecewise_linear,
     register_problem,
     replicate,
+    run_mcs,
     run_single,
     run_ss,
 )
@@ -266,6 +267,39 @@ def test_grouped_monte_carlo_in_chunks_matches_solo_runs(monkeypatch):
     assert [_fields(r) for r in results] == [_fields(r) for r in whole]
 
 
+def test_monte_carlo_runs_that_fault_draw_no_further_chunk(monkeypatch):
+    # 3000 points in chunks of 700: runs 3, 2 and 0 make g fail on their first,
+    # second and fourth chunk, and run 1 never does
+    monkeypatch.setattr("dirss.estimators._MCS_CHUNK", 700)
+    cfg = ExperimentConfig("faulty_nan", "mcs", 3000, runs=4, seed=0)
+    calls = _Calls()
+    monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
+        limitstate.get_problem(name)))
+    results = replicate(cfg)
+    sizes = list(calls.sizes)
+    failed = [i for i, r in enumerate(results) if r.status == "failed"]
+    faulted_on = {i: -(-results[i].n_evals // 700) - 1 for i in failed}  # chunk index
+    assert faulted_on == {0: 3, 2: 1, 3: 0}
+    for i, res in enumerate(results):
+        if i in failed:
+            # the error the estimator raises when it runs alone
+            with pytest.raises(EvaluationError) as exc:
+                run_mcs(get_problem(cfg.problem), cfg.n, RandomStream(cfg.seed, i))
+            assert (res.reason, res.n_evals) == (str(exc.value), exc.value.n_evals)
+            assert "non-finite" in res.reason
+        assert _fields(res) == _fields(run_single(cfg, i))
+    # a chunk is one g-call of the live runs' points, repeated run by run when
+    # it faults; a run that faulted draws no further chunk
+    want, live = [], list(range(cfg.runs))
+    for c, size in enumerate([700] * 4 + [200]):
+        want.append(len(live) * size)
+        if any(faulted_on.get(i) == c for i in live):
+            want += [size] * len(live)
+        live = [i for i in live if faulted_on.get(i) != c]
+    assert sizes == want
+    assert sizes[-1] == 200  # run 1 alone
+
+
 @pytest.mark.jobs
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("mode, fault", [
@@ -439,9 +473,9 @@ def test_runs_that_end_levels_at_different_steps_match_solo_runs(monkeypatch):
 
 
 def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
-    # a request holds the rows its seeds are named by: held past the slab's
-    # gather, the level-0 draw or a stacked copy of runs that are not adjacent
-    # in the slab would outlive it, next to the populations the next level reads
+    # a request holds the rows its seeds are named by, the slab's or any others,
+    # and its offspring counts: held past the slab's gather, they would outlive
+    # it, next to the populations the next level reads
     taken, held = [], []
     enter, send = kernels._Lockstep.enter, DssGroup.send
 
@@ -449,9 +483,9 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
         taken.append(weakref.ref(want))
         return enter(self, ks, want)
 
-    def checked_send(self, ready):
+    def checked_send(self, ks, slab):
         held.append(sum(ref() is not None for ref in taken))
-        return send(self, ready)
+        return send(self, ks, slab)
 
     monkeypatch.setattr(kernels._Lockstep, "enter", logged_enter)
     monkeypatch.setattr(DssGroup, "send", checked_send)
@@ -466,11 +500,12 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
 @pytest.mark.filterwarnings("ignore:bin with probability")
 def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
     # three runs of n=20000 in 10-D over 1024 orthants, one group: every level,
-    # level 0 included, comes back as views of the slab, one for the runs that
-    # end it at one step in adjacent rows, and the slab gathers their seeds
-    # through its own rows, so the group peaks within README's n*(3*dim+10)*8
-    # bytes a run; with level 0 drawn beside the slab and the seeds gathered
-    # through a copy, three runs took 21.2 MB
+    # level 0 included, is handed over as one set of views of the whole slab,
+    # run k's population at index k, and the slab gathers the seeds through its
+    # own rows, so the group peaks within README's n*(3*dim+9)*8 bytes a run;
+    # with the populations of runs that end a level together stacked when their
+    # rows are not adjacent, three runs took up to 18.9 MB, and with level 0
+    # drawn beside the slab and the seeds gathered through a copy 21.2 MB
     slabs, reads = [], []
     add, send = kernels._Lockstep.add, DssGroup.send
 
@@ -478,13 +513,13 @@ def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
         slabs.append(self)
         return add(self, ks, want)
 
-    def logged_send(self, ready):
-        if ready[0][1] is not None:
-            slab = slabs[-1]
-            for ks, value in ready:
-                reads.append((len(ks), all(np.shares_memory(a, b) for a, b in zip(
-                    value, (slab.out_p, slab.out_g, slab.out_b)))))
-        return send(self, ready)
+    def logged_send(self, ks, slab):
+        if slab is not None:
+            own = slabs[-1]
+            reads.append((len(ks), all(a.shape[0] == 3 and a.size == b.size
+                                       and np.shares_memory(a, b) for a, b in zip(
+                                           slab, (own.out_p, own.out_g, own.out_b)))))
+        return send(self, ks, slab)
 
     monkeypatch.setattr(kernels._Lockstep, "add", logged_add)
     monkeypatch.setattr(DssGroup, "send", logged_send)
@@ -500,8 +535,8 @@ def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert group_size(cfg, 10) == cfg.runs
-    assert peak <= cfg.runs * cfg.n * (3 * 10 + 10) * 8
-    assert reads[0] == (3, True)  # level 0, one view of the three runs' rows
+    assert peak <= cfg.runs * cfg.n * (3 * 10 + 9) * 8
+    assert reads[0] == (3, True)  # level 0 of the three runs
     assert all(shared for _, shared in reads)
     assert sum(size for size, _ in reads) == sum(r.levels for r in results)
     _assert_matches_solo(cfg, results)
@@ -516,13 +551,12 @@ class _Requests:
         self.requests, self.ctrs = requests, [EvalCounter() for _ in streams]
         self.results = [None] * sum(r.n_seeds.size for r in requests)
 
-    def send(self, ready):
-        if ready[0][1] is None:
+    def send(self, ks, slab):
+        if slab is None:
             runs = iter(range(len(self.results)))
             return [([next(runs) for _ in r.n_seeds], r) for r in self.requests]
-        for ks, populations in ready:
-            for k, *population in zip(ks, *populations):
-                self.results[k] = tuple(a.copy() for a in population)
+        for k in ks:
+            self.results[k] = tuple(a[k].copy() for a in slab)
         return []
 
 
@@ -585,8 +619,8 @@ def test_finished_run_keeps_its_results_while_the_group_runs_on():
                      [RandomStream(4, k) for k in range(5)])
     send = group.send
 
-    def snapshot(ready):
-        wants = send(ready)
+    def snapshot(ks, slab):
+        wants = send(ks, slab)
         for k, res in enumerate(group.results):
             if res is not None and k not in snapshots:
                 snapshots[k] = _fields(res)
