@@ -28,7 +28,6 @@ from .harness import (
 )
 from .kernels import McmcConfig
 from .limitstate import (
-    EvalCounter,
     LimitState,
     evaluate_batch,
     get_problem,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinOutcome",
     "ConfigurationError",
-    "EvalCounter",
     "EvaluationError",
     "ExperimentConfig",
     "LevelRecord",

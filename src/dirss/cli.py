@@ -32,6 +32,7 @@ from .harness import (
     replicate,
     run_single,
     summarize,
+    usable_runs,
     validate_config,
 )
 from .limitstate import get_problem
@@ -148,10 +149,9 @@ def write_levels_csv(path: Path, result: RunResult) -> None:
 
 
 def write_hist_csv(path: Path, results: list[RunResult]) -> None:
-    """Histogram of log10 estimates over usable runs, fixed bin width 0.1."""
-    logs = np.array(
-        [math.log10(r.pf_hat) for r in results if r.status != "failed" and r.pf_hat > 0]
-    )
+    """Histogram of log10 estimates over the runs that :func:`summarize` uses,
+    fixed bin width 0.1."""
+    logs = np.array([math.log10(r.pf_hat) for r in usable_runs(results)])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["log10_lo", "log10_hi", "count"])

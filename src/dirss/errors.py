@@ -13,8 +13,10 @@ class EvaluationError(RuntimeError):
     """The limit-state function raised, or returned values of the wrong
     shape or non-finite values.
 
-    ``n_evals`` is the run's evaluation count when it happened, the
-    failing batch included.
+    ``n_evals`` is the failing batch's point count where
+    :func:`~dirss.limitstate.evaluate_batch` raises it; the estimators set
+    it to the run's evaluation count, the failing batch included
+    (:func:`~dirss.kernels.evaluate_joined`).
     """
 
     def __init__(self, message: str, n_evals: int = 0):

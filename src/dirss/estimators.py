@@ -43,7 +43,7 @@ from .kernels import (  # noqa: F401 - perfbench/spans.py patches propagate_chai
     run_alone,
     run_steps,
 )
-from .limitstate import EvalCounter, LimitState
+from .limitstate import LimitState
 from .partition import Partition, make_single_bin
 
 # consecutive empty levels after which an active bin is written off
@@ -123,17 +123,18 @@ def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
 class McsGroup:
     """:func:`run_mcs` for a group of runs.
 
-    Run k draws from ``streams[k]`` and counts its evaluations on its own
-    ``ctrs[k]``. Each live run draws its next chunk of at most
-    ``_MCS_CHUNK`` points from its own stream, and the group's chunks are
-    evaluated in one g-call (:func:`kernels.evaluate_joined`); a run whose
-    points make g fail ends with the :class:`EvaluationError` as its
-    result and draws no further chunk.
+    Run k draws from ``streams[k]`` and counts its evaluations in entry k
+    of the int64 array ``n_evals``. Each live run draws its next chunk of
+    at most ``_MCS_CHUNK`` points from its own stream, and the group's
+    chunks are evaluated in one g-call (:func:`kernels.evaluate_joined`);
+    a run whose points make g fail ends with the :class:`EvaluationError`
+    as its result and draws no further chunk.
     """
 
     def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
         check_count(n, "n", unit=" sample")
-        self.ls, self.n, self.streams, self.ctrs = ls, n, streams, [EvalCounter() for _ in streams]
+        self.ls, self.n, self.streams = ls, n, streams
+        self.n_evals = np.zeros(len(streams), np.int64)
         self.fail_pts: list[list | None] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
 
@@ -146,8 +147,8 @@ class McsGroup:
             points = np.empty((len(live), size, dim))
             for k, out in zip(live, points):
                 self.streams[k].standard_normal(out=out)
-            gv, failed = evaluate_joined(self.ls, points.reshape(-1, dim),
-                                         [(k, size) for k in live], self.ctrs)
+            gv, failed = evaluate_joined(self.ls, points.reshape(-1, dim), np.array(live),
+                                         np.full(len(live), size), self.n_evals)
             for k, p, g in zip(live, points, gv.reshape(len(live), size)):
                 if k in failed:
                     self.results[k] = failed[k]
@@ -164,7 +165,7 @@ class McsGroup:
         pf = len(fail) / self.n
         outcome = BinOutcome(0, "finished", 0, pf, pf, 0.0)
         record = LevelRecord(0, (0.0,), (self.n,), len(fail), pf, 0.0)
-        self.results[k] = RunResult("mcs", pf, (outcome,), 1, self.ctrs[k].count, 0.0,
+        self.results[k] = RunResult("mcs", pf, (outcome,), 1, int(self.n_evals[k]), 0.0,
                                     "converged", (record,), fail)
 
 
@@ -234,7 +235,9 @@ class DssGroup:
     """:func:`run_dss` for a group of runs, as the stepper :func:`kernels.run_steps` drives;
     with ``algorithm="ss"`` and a single bin, :func:`run_ss`.
 
-    Run k draws from ``streams[k]`` and counts on its own ``ctrs[k]``. Its
+    Run k draws from ``streams[k]`` and counts its g-evaluations in entry
+    k of the group's int64 array ``n_evals``, charged in one add for the
+    runs of a step's shared g-call (:func:`kernels.evaluate_joined`). Its
     level 0 is ``n`` points that the lockstep loop draws from its stream
     into its rows of the chain slab and classifies there, its later
     levels are populations its chains write there: it reads every level
@@ -267,7 +270,7 @@ class DssGroup:
             )
         self.ls, self.partition, self.n, self.rho = ls, partition, n, rho
         self.mcmc, self.eps_tol, self.max_levels = mcmc or McmcConfig(), eps_tol, max_levels
-        self.streams, self.ctrs = streams, [EvalCounter() for _ in streams]
+        self.streams, self.n_evals = streams, np.zeros(len(streams), np.int64)
         self.p0 = partition.probs
         self.algorithm = algorithm
         shape = (len(streams), partition.n_bins)
@@ -417,7 +420,7 @@ class DssGroup:
             pf_hat=pf,
             bin_outcomes=ordered,
             levels=t + 1,
-            n_evals=self.ctrs[k].count,
+            n_evals=int(self.n_evals[k]),
             unresolved_bound=float(sum(o.bound for o in ordered)),
             status=status,
             level_records=tuple(self.records[k]),

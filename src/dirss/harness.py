@@ -261,12 +261,18 @@ def replicate(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
         return [r for rs in pool.map(partial(run_group, cfg), groups) for r in rs]
 
 
+def usable_runs(results: list[RunResult]) -> list[RunResult]:
+    """The runs that enter the statistics: not failed, with a positive estimate."""
+    return [r for r in results if r.status != "failed" and r.pf_hat > 0.0]
+
+
 def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     """Reduce a batch of runs to its benchmark statistics.
 
-    Runs that failed or returned a zero estimate are excluded from the
-    mean, CoV and R (their logarithm is undefined) and counted in
-    ``failed_runs`` and ``zero_runs``; runs that stopped at their level
+    Runs that failed or returned a zero estimate, whose logarithm is
+    undefined, are excluded from the mean, CoV and R, as from the CLI's
+    ``hist.csv`` (:func:`usable_runs`), and counted in ``failed_runs`` and
+    ``zero_runs``; runs that stopped at their level
     cap are counted in ``max_levels_runs`` by their status alone, and
     those with a positive estimate enter the statistics. The evaluation
     cost is averaged over all runs. A batch without a usable run gives
@@ -278,7 +284,7 @@ def summarize(results: list[RunResult], pf_ref: float) -> ReplicationSummary:
     check_open_interval(pf_ref, "reference probability", math.inf)
     failed = sum(r.status == "failed" for r in results)
     capped = sum(r.status == "max_levels" for r in results)
-    used = [r for r in results if r.status != "failed" and r.pf_hat > 0.0]
+    used = usable_runs(results)
     mean_evals = float(np.mean([r.n_evals for r in results]))
     if not used:
         nan = math.nan

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, check_open_interval
 from .gaussian import RandomStream
-from .limitstate import EvalCounter, LimitState, evaluate_batch
+from .limitstate import LimitState, evaluate_batch
 from .partition import Partition
 
 
@@ -47,7 +47,6 @@ def propagate_chains(
     stream: RandomStream,
     ls: LimitState,
     partition: Partition,
-    ctr: EvalCounter,
 ):
     """Grow one Markov chain from each row of a population, all chains advanced in lockstep.
 
@@ -61,11 +60,12 @@ def propagate_chains(
     a rejected step repeats the current state. The output population has
     exactly ``offspring.sum()`` members, each within its bin's threshold.
     The level's normals come from one draw of ``stream``; each round
-    evaluates its proposals in open bins on ``ls`` in one g-call, added
-    to ``ctr``: this is a :class:`ChainRequest` of one run, which names
-    its seeds by row of ``points``, ``gvals`` and ``bins``, driven by
-    :func:`run_steps` as a group's are. Chains that take no step return
-    at once, without a draw or a g-call.
+    evaluates its proposals in open bins on ``ls`` in one g-call, so g
+    sees exactly the evaluations the chains cost: this is a
+    :class:`ChainRequest` of one run, which names its seeds by row of
+    ``points``, ``gvals`` and ``bins``, driven by :func:`run_steps` as a
+    group's are. Chains that take no step return at once, without a draw
+    or a g-call.
 
     Returns
     -------
@@ -80,11 +80,7 @@ def propagate_chains(
     counts = offspring[seeds]
     request = ChainRequest(points, gvals, bins, seeds, np.array([seeds.size]), counts,
                            gamma[None])
-    chains = _Chains(request, ls, int(counts.sum()), partition, cfg, stream)
-    try:
-        return run_alone(run_steps(chains))
-    finally:
-        ctr.add(chains.ctrs[0].count)
+    return run_alone(run_steps(_Chains(request, ls, int(counts.sum()), partition, cfg, stream)))
 
 
 class _Chains:
@@ -92,7 +88,7 @@ class _Chains:
 
     def __init__(self, request, ls, n, partition, mcmc, stream):
         self.request, self.ls, self.n, self.partition, self.mcmc = request, ls, n, partition, mcmc
-        self.streams, self.ctrs, self.results = [stream], [EvalCounter()], [None]
+        self.streams, self.n_evals, self.results = [stream], np.zeros(1, np.int64), [None]
 
     def send(self, ks: list[int], slab) -> list[tuple]:
         if slab is None:  # the start
@@ -170,7 +166,8 @@ class _Lockstep:
         shape = (self.runs, self.n)  # what a handoff hands over
         self.slab = (self.out_p.reshape(*shape, dim), self.out_g.reshape(shape),
                      self.out_b.reshape(shape))
-        # (points, runs, point counts, then a chains round, or the rows of level 0)
+        # (points, runs, their point counts, then a chains round, or the rows of
+        # level 0), each run at most once a step
         self.queue: list[tuple] = []
         # the rows of the chains with steps left and no g-value pending, in order;
         # run k's start at k*n
@@ -187,11 +184,11 @@ class _Lockstep:
     def draw(self) -> None:
         """Draw every run's level 0, ``n`` points from its own stream, into its rows,
         classify it there and queue it for g."""
-        n, ks = self.n, list(range(self.runs))
-        for k in ks:
+        n = self.n
+        for k in range(self.runs):
             self.stepper.streams[k].standard_normal(out=self.out_p[k * n : (k + 1) * n])
         self.out_b[:] = self.partition.classify(self.out_p)
-        self.queue.append((self.out_p, ks, [n] * self.runs, slice(None)))
+        self.queue.append((self.out_p, np.arange(self.runs), np.full(self.runs, n), slice(None)))
 
     def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
@@ -273,31 +270,28 @@ class _Lockstep:
                 stepped, n_points = stepped[~idle], n_points[~idle]
             if stepped.size:
                 self.queue.append(
-                    (prop.take(ok, axis=0), stepped.tolist(), n_points.tolist(),
-                     (rows, at, *candidates, stepped))
-                )
+                    (prop.take(ok, axis=0), stepped, n_points, (rows, at, *candidates)))
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
         """:func:`evaluate_joined` of the queued points."""
-        points = [q[0] for q in self.queue]
-        points = np.concatenate(points) if len(points) > 1 else points[0]
-        owners = [(k, size) for q in self.queue for k, size in zip(q[1], q[2])]
-        return evaluate_joined(self.stepper.ls, points, owners, self.stepper.ctrs)
+        points, runs, sizes = (np.concatenate(a) if len(a) > 1 else a[0]
+                               for a in zip(*(q[:3] for q in self.queue)))
+        return evaluate_joined(self.stepper.ls, points, runs, sizes, self.stepper.n_evals)
 
     def accept(self, gv: np.ndarray) -> None:
         """Hand the queued points their g-values: level 0's into the slab, and the
         accepted moves into their slots; put the chains of the runs whose level
         goes on back in ``live``."""
         live, a = [], 0
-        for points, owners, _, chains in self.queue:
+        for points, runs, _, chains in self.queue:
             g = gv[a : a + points.shape[0]]
             a += points.shape[0]
             if isinstance(chains, slice):  # level 0, drawn into the slab
                 self.out_g[chains] = g
-                self.ended += owners
+                self.ended += runs.tolist()
                 continue
-            rows, at, slots, pbins, gamma, stepped = chains
-            live.append(self._advance(rows, at, stepped))
+            rows, at, slots, pbins, gamma = chains
+            live.append(self._advance(rows, at, runs))
             hit = (g <= gamma).nonzero()[0]
             acc = slots.take(hit)
             self.out_v[acc] = points.view(self.out_v.dtype)[:, 0].take(hit)
@@ -327,25 +321,28 @@ class _Lockstep:
         self.live = self.live[self.live // self.n != k]
 
 
-def evaluate_joined(ls: LimitState, points: np.ndarray, owners: list[tuple[int, int]],
-                    ctrs: list[EvalCounter]) -> tuple[np.ndarray, dict]:
-    """g-values of ``points``, the points of the ``(run, size)`` pairs of ``owners``
-    stacked in that order: from one g-call if it succeeds, else run by run, each
-    run counting its own on ``ctrs[run]``; a run whose points make g fail maps to
-    its error (its values unset)."""
-    if len(owners) > 1:
+def evaluate_joined(ls: LimitState, points: np.ndarray, runs: np.ndarray, sizes: np.ndarray,
+                    n_evals: np.ndarray) -> tuple[np.ndarray, dict]:
+    """g-values of ``points``, the ``sizes[i]`` points of run ``runs[i]`` stacked in
+    that order, each run at most once, and each charged its points on its entry of
+    ``n_evals``: from one g-call if it succeeds, else run by run. A run whose
+    points make g fail maps to its error (its values unset), whose ``n_evals``
+    is then the run's count; a shared call that fails is charged to no run."""
+    if runs.size > 1:
         try:
-            gv = evaluate_batch(ls, points, EvalCounter())
-            for k, size in owners:
-                ctrs[k].add(size)
-            return gv, {}
+            gv = evaluate_batch(ls, points)
         except EvaluationError:
             pass
+        else:
+            n_evals[runs] += sizes
+            return gv, {}
     gv, failed, a = np.empty(points.shape[0]), {}, 0
-    for k, size in owners:
+    for k, size in zip(runs.tolist(), sizes.tolist()):
+        n_evals[k] += size
         try:
-            gv[a : a + size] = evaluate_batch(ls, points[a : a + size], ctrs[k])
+            gv[a : a + size] = evaluate_batch(ls, points[a : a + size])
         except EvaluationError as exc:
+            exc.n_evals = int(n_evals[k])
             failed[k] = exc
         a += size
     return gv, failed
@@ -355,8 +352,9 @@ def run_steps(steps) -> list:
     """Drive the runs of a group stepper in lockstep and return their results.
 
     The stepper holds the group: the problem ``ls``, the population size ``n``,
-    each run k's ``streams[k]``, ``ctrs[k]`` and ``results[k]``, and their
-    ``partition`` and ``mcmc``. Its ``send(ks, slab)`` takes the runs ``ks``
+    each run k's ``streams[k]`` and ``results[k]``, the int64 array
+    ``n_evals`` of each run's g-evaluations, and their ``partition`` and
+    ``mcmc``. Its ``send(ks, slab)`` takes the runs ``ks``
     whose level ended at one step, in order, and the slab ``(points, gvals,
     bins)``, run k's population at index k, as views valid until the runs'
     next request: at the start, every run and ``None``. It returns ``(runs,
@@ -365,7 +363,7 @@ def run_steps(steps) -> list:
     :class:`ChainRequest` of the runs, each filling ``n`` rows. A run that
     ends sets its entry of ``results``. A step makes one g-call (none without
     points) for every level 0 and every chain proposal in an open bin, each
-    run counting its own on its counter. A run whose chains take no step, or
+    run charged its own points on its entry of ``n_evals``. A run whose chains take no step, or
     no step that needs g, gets its population back within the step, as often
     as it asks. A run whose own points make g fail ends with the
     :class:`EvaluationError` as its result, and is not sent again.

@@ -1,12 +1,12 @@
-"""Limit-state functions, evaluation accounting, and benchmark problems.
+"""Limit-state functions, their checked evaluation, and benchmark problems.
 
 A limit-state function g maps a point of standard-Gaussian space to a
 scalar; failure is the event g <= 0. Evaluators are vectorized, taking
-an (N, n) array of points and returning an (N,) array of values. All
-counted evaluations go through :func:`evaluate_batch` so that the
-reported cost of a run equals the number of g-calls exactly, and so
-that g raising, or returning values of the wrong shape or non-finite
-values, surfaces as an :class:`EvaluationError` that names the problem.
+an (N, n) array of points and returning an (N,) array of values. Every
+g-call of the estimators goes through :func:`evaluate_batch`, so that g
+raising, or returning values of the wrong shape or non-finite values,
+surfaces as an :class:`EvaluationError` that names the problem; the
+estimators count the points they send to g as each run's ``n_evals``.
 """
 
 from __future__ import annotations
@@ -39,55 +39,34 @@ class LimitState:
         check_count(self.dimension, "dimension")
 
 
-@dataclass
-class EvalCounter:
-    """Running count of limit-state evaluations within one run."""
+def evaluate_batch(ls: LimitState, points: np.ndarray) -> np.ndarray:
+    """Evaluate g at each row of ``points``.
 
-    count: int = 0
-
-    def add(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("cannot decrement an evaluation counter")
-        self.count += k
-
-
-def evaluate_batch(ls: LimitState, points: np.ndarray, ctr: EvalCounter) -> np.ndarray:
-    """Evaluate g at each row of ``points``, incrementing the counter by the row count.
-
-    Raises :class:`EvaluationError` if g raises, or returns anything but
-    one finite real value (of an integer or float dtype) per point.
+    Raises :class:`EvaluationError`, whose ``n_evals`` is the row count, if
+    g raises, or returns anything but one finite real value (of an integer
+    or float dtype) per point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != ls.dimension:
         raise ConfigurationError(
             f"points of shape {pts.shape} do not match problem dimension {ls.dimension}"
         )
-    ctr.add(pts.shape[0])
+    n = pts.shape[0]
     try:
         gv = np.asarray(ls.evaluator(pts))
     except Exception as exc:  # any failure of user code is a failure of this run
         raise EvaluationError(
-            f"g of problem {ls.name!r} raised {type(exc).__name__}: {exc}", ctr.count
+            f"g of problem {ls.name!r} raised {type(exc).__name__}: {exc}", n
         ) from exc
     if gv.dtype.kind not in "iuf":  # not bool, complex or object
-        raise EvaluationError(f"g of problem {ls.name!r} returned values of dtype {gv.dtype}, "
-                              "expected integer or float", ctr.count)
-    gv = gv.astype(float, copy=False)
-    n = pts.shape[0]
-    if gv.shape != (n,):
-        raise EvaluationError(
-            f"g of problem {ls.name!r} returned shape {gv.shape} for {n} points, "
-            f"expected ({n},)",
-            ctr.count,
-        )
-    if not np.isfinite(gv).all():
-        bad = int(n - np.isfinite(gv).sum())
-        raise EvaluationError(
-            f"g of problem {ls.name!r} returned {bad} non-finite values (NaN or inf) "
-            f"among {n} points",
-            ctr.count,
-        )
-    return gv
+        fault = f"values of dtype {gv.dtype}, expected integer or float"
+    elif gv.shape != (n,):
+        fault = f"shape {gv.shape} for {n} points, expected ({n},)"
+    elif not np.isfinite(gv).all():
+        fault = f"{int(n - np.isfinite(gv).sum())} non-finite values (NaN or inf) among {n} points"
+    else:
+        return gv.astype(float, copy=False)
+    raise EvaluationError(f"g of problem {ls.name!r} returned {fault}", n)
 
 
 def _piecewise_linear_g(pts: np.ndarray) -> np.ndarray:

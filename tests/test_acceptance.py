@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from dirss import (
-    EvalCounter,
     ExperimentConfig,
     LimitState,
     McmcConfig,
@@ -266,7 +265,7 @@ def test_criterion_8_kernel_validity():
         pts, _, _ = propagate_chains(
             np.zeros((chains, 1)), np.zeros(chains), np.zeros(chains, dtype=np.int64),
             np.full(chains, steps + 1), np.array([gamma]),
-            cfg, RandomStream(seed), ls, part, EvalCounter(),
+            cfg, RandomStream(seed), ls, part,
         )
         return pts[steps :: steps + 1, 0]
 

@@ -11,7 +11,6 @@ from scipy import stats
 from dirss import (
     BinOutcome,
     ConfigurationError,
-    EvalCounter,
     EvaluationError,
     LimitState,
     RandomStream,
@@ -73,7 +72,7 @@ def test_mcs_chunking_consistent(monkeypatch):
 def test_mcs_failure_points_fail():
     ls = make_linear(1.5, dimension=2)
     res = run_mcs(ls, 20_000, RandomStream(3))
-    gv = evaluate_batch(ls, res.failure_points, EvalCounter())
+    gv = evaluate_batch(ls, res.failure_points)
     assert (gv <= 0).all()
     assert len(res.failure_points) == round(res.pf_hat * 20_000)
 
@@ -196,7 +195,7 @@ def test_dss_invariants_on_benchmark():
             last = records[-1]
             assert last.upper_bound <= 1e-3 * last.pf_finished
         # collected failure samples really fail
-        gv = evaluate_batch(ls, res.failure_points, EvalCounter())
+        gv = evaluate_batch(ls, res.failure_points)
         assert (gv <= 0).all()
 
 

@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from test_lockstep import _Calls
 
 from dirss import (
     ConfigurationError,
-    EvalCounter,
     LimitState,
     McmcConfig,
     RandomStream,
     make_halfspace,
     make_single_bin,
 )
-from dirss.kernels import interp_quantile, propagate_chains, residual_resample
+from dirss.kernels import (
+    evaluate_joined,
+    interp_quantile,
+    propagate_chains,
+    residual_resample,
+)
 
 
 def _quantile(values, rho):
@@ -213,35 +218,36 @@ def _below(gamma: float) -> np.ndarray:
     return np.array([gamma])
 
 
-def _chains(seeds, steps, region, corr, stream, ctr=None):
+def _chains(seeds, steps, region, corr, stream, calls=None):
     """``steps`` kernel steps from each seed row on the single-bin slab; the
-    states as (chains, steps + 1, dim), each chain's seed first."""
+    states as (chains, steps + 1, dim), each chain's seed first. ``calls``
+    records the g-calls of the steps."""
     ls = _theta_problem(seeds.shape[1])
     m = seeds.shape[0]
     pts, gv, _ = propagate_chains(
         seeds, ls.evaluator(seeds), np.zeros(m, dtype=np.int64), np.full(m, steps + 1),
-        region, McmcConfig(corr), stream, ls, make_single_bin(seeds.shape[1]),
-        EvalCounter() if ctr is None else ctr,
+        region, McmcConfig(corr), stream, (_Calls() if calls is None else calls).wrap(ls),
+        make_single_bin(seeds.shape[1]),
     )
     return pts.reshape(m, steps + 1, -1), gv.reshape(m, steps + 1)
 
 
 def test_step_accepts_everything_on_free_region():
-    ctr = EvalCounter()
-    pts, _ = _chains(np.zeros((5, 1)), 100, _below(np.inf), 0.8, RandomStream(8), ctr)
+    calls = _Calls()
+    pts, _ = _chains(np.zeros((5, 1)), 100, _below(np.inf), 0.8, RandomStream(8), calls)
     # indicator acceptance on the whole space never rejects: every state moves
     assert (np.diff(pts, axis=1) != 0).all()
-    assert ctr.count == 500
+    assert sum(calls.sizes) == 500
 
 
 def test_step_preserves_constraint():
     gamma = 1.0
-    ctr = EvalCounter()
-    pts, gv = _chains(np.full((20, 1), 0.2), 100, _below(gamma), 0.8, RandomStream(9), ctr)
+    calls = _Calls()
+    pts, gv = _chains(np.full((20, 1), 0.2), 100, _below(gamma), 0.8, RandomStream(9), calls)
     assert (gv <= gamma).all()
     assert (pts[..., 0] <= gamma).all()
     # the chains moved
-    assert ctr.count > 0 and (np.diff(pts, axis=1) != 0).any()
+    assert sum(calls.sizes) > 0 and (np.diff(pts, axis=1) != 0).any()
 
 
 def test_mean_squared_jump_decreases_with_corr():
@@ -269,9 +275,8 @@ def test_propagate_chains_population_and_region():
     gvals = ls.evaluator(seeds)
     bins = np.zeros(12, dtype=np.int64)
     offspring = _resample(12, 50, stream)
-    ctr = EvalCounter()
     pts, gv, bn = propagate_chains(
-        seeds, gvals, bins, offspring, region, McmcConfig(0.8), stream, ls, part, ctr
+        seeds, gvals, bins, offspring, region, McmcConfig(0.8), stream, ls, part
     )
     assert pts.shape == (50, 1)
     assert (gv <= gamma).all()
@@ -290,16 +295,16 @@ def test_propagate_chains_drops_zero_count_seeds():
     bins = np.zeros(3, dtype=np.int64)
     pts, _, _ = propagate_chains(
         seeds, gvals, bins, np.array([2, 0, 3]), region,
-        McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter(),
+        McmcConfig(0.8), RandomStream(14), ls, part,
     )
     assert pts.shape == (5, 1)
     assert not np.any(pts == 99.0)
     with pytest.raises(ConfigurationError, match="positive offspring"):
         propagate_chains(seeds, gvals, bins, np.zeros(3, np.int64), region,
-                         McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter())
+                         McmcConfig(0.8), RandomStream(14), ls, part)
     with pytest.raises(ConfigurationError, match="number of seeds"):
         propagate_chains(seeds, gvals, bins, np.array([2, 3]), region,
-                         McmcConfig(0.8), RandomStream(14), ls, part, EvalCounter())
+                         McmcConfig(0.8), RandomStream(14), ls, part)
 
 
 def test_propagate_chains_deterministic():
@@ -311,9 +316,9 @@ def test_propagate_chains_deterministic():
     bins = np.zeros(5, dtype=np.int64)
     offspring = np.array([3, 1, 4, 0, 2])
     out1 = propagate_chains(seeds, gvals, bins, offspring, region,
-                            McmcConfig(0.8), RandomStream(15), ls, part, EvalCounter())
+                            McmcConfig(0.8), RandomStream(15), ls, part)
     out2 = propagate_chains(seeds, gvals, bins, offspring, region,
-                            McmcConfig(0.8), RandomStream(15), ls, part, EvalCounter())
+                            McmcConfig(0.8), RandomStream(15), ls, part)
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a, b)
 
@@ -327,7 +332,7 @@ def test_chains_match_truncated_normal():
     steps = 20000
     pts, gv, _ = propagate_chains(
         np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=np.int64), np.array([steps + 1]),
-        region, McmcConfig(0.8), RandomStream(12), ls, make_single_bin(1), EvalCounter(),
+        region, McmcConfig(0.8), RandomStream(12), ls, make_single_bin(1),
     )
     assert (gv <= 1.0).all()
     kept = pts[1000::20, 0]
@@ -352,14 +357,13 @@ def test_chain_rejection_into_closed_bin_is_free():
     ls = LimitState("theta", 2, g)
     part = make_halfspace(1, 2)
     region = np.array([np.inf, -np.inf])
-    ctr = EvalCounter()
     pts, gv, bins = propagate_chains(
         np.array([[-0.5, 0.0]]), np.array([-0.5]), np.zeros(1, dtype=np.int64),
-        np.array([1001]), region, McmcConfig(0.5), RandomStream(10), ls, part, ctr,
+        np.array([1001]), region, McmcConfig(0.5), RandomStream(10), ls, part,
     )
     assert (bins == 0).all() and (pts[:, 0] < 0).all()  # never enters the closed bin
-    assert sum(sizes) == ctr.count and all(size == 1 for size in sizes)
-    assert 0 < ctr.count < 1000  # some proposals landed in the closed bin for free
+    assert all(size == 1 for size in sizes)
+    assert 0 < sum(sizes) < 1000  # some proposals landed in the closed bin for free
 
 
 @pytest.mark.parametrize("table", [np.array([np.inf]), np.full(3, np.inf)])
@@ -369,32 +373,59 @@ def test_threshold_table_must_have_one_entry_a_bin(table):
     def g(pts):
         raise AssertionError("g called")
 
-    ctr = EvalCounter()
+    calls = _Calls()
     with pytest.raises(ConfigurationError, match=rf"shape \(1, {table.size}\) does not fit"):
         propagate_chains(
             np.array([[-0.5, 0.0]]), np.array([-0.5]), np.zeros(1, dtype=np.int64),
-            np.array([50]), table, McmcConfig(0.5), RandomStream(3), LimitState("never", 2, g),
-            make_halfspace(1, 2), ctr,
+            np.array([50]), table, McmcConfig(0.5), RandomStream(3),
+            calls.wrap(LimitState("never", 2, g)), make_halfspace(1, 2),
         )
-    assert ctr.count == 0
+    assert sum(calls.sizes) == 0
 
 
 def test_level_without_steps_makes_no_g_call_and_no_draw():
     def g(pts):
         raise AssertionError("g called")
 
-    ls = LimitState("never", 1, g)
+    calls = _Calls()
+    ls = calls.wrap(LimitState("never", 1, g))
     seeds = np.array([[0.0], [1.0], [2.0], [3.0]])
-    ctr, stream = EvalCounter(), RandomStream(5)
+    stream = RandomStream(5)
     pts, gv, bins = propagate_chains(
         seeds, seeds[:, 0], np.zeros(4, dtype=np.int64), np.array([1, 0, 1, 1]),
         _below(10.0), McmcConfig(0.8), stream, ls,
-        make_single_bin(1), ctr,
+        make_single_bin(1),
     )
     np.testing.assert_array_equal(pts, seeds[[0, 2, 3]])
-    assert ctr.count == 0 and gv.dtype == float and bins.dtype == np.int64
+    assert sum(calls.sizes) == 0 and gv.dtype == float and bins.dtype == np.int64
     # the stream did not move
     assert stream.standard_normal(3).tobytes() == RandomStream(5).standard_normal(3).tobytes()
+
+
+# ------------------------------------------------------------ joined g-call
+
+def test_joined_call_charges_each_run_its_own_points():
+    # runs 4, 0 and 2 bring 3, 2 and 4 points, and g faults on run 0's only
+    calls = _Calls()
+    ls = calls.wrap(LimitState("theta", 1, lambda pts: np.where(pts[:, 0] < 0, np.nan, pts[:, 0])))
+    points = np.array([1.0, 2.0, 3.0, -1.0, -2.0, 4.0, 5.0, 6.0, 7.0])[:, None]
+    runs, sizes = np.array([4, 0, 2]), np.array([3, 2, 4])
+    n_evals = np.array([30, 10, 20, 0, 40])
+    gv, failed = evaluate_joined(ls, points, runs, sizes, n_evals)
+    # the shared call fails and is charged to no run; then each run's points
+    # go to g alone, and each run is charged its own
+    assert calls.sizes == [9, 3, 2, 4]
+    assert n_evals.tolist() == [32, 10, 24, 0, 43]
+    assert list(failed) == [0] and failed[0].n_evals == 32  # its earlier 30, and its 2
+    assert "2 non-finite values" in str(failed[0])
+    np.testing.assert_array_equal(np.r_[gv[:3], gv[5:]], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    # a shared call that succeeds is one g-call, and charges each run its points
+    calls.sizes.clear()
+    gv, failed = evaluate_joined(ls, points[[5, 6, 0, 1, 2]], runs[[0, 2]], np.array([2, 3]),
+                                 n_evals)
+    assert calls.sizes == [5] and not failed
+    assert n_evals.tolist() == [32, 10, 27, 0, 45]
+    np.testing.assert_array_equal(gv, [4.0, 5.0, 1.0, 2.0, 3.0])
 
 
 def test_one_draw_of_a_level_equals_its_round_draws():

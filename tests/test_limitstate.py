@@ -5,7 +5,6 @@ import pytest
 
 from dirss import (
     ConfigurationError,
-    EvalCounter,
     EvaluationError,
     LimitState,
     RandomStream,
@@ -32,7 +31,7 @@ from dirss import (
 )
 def test_piecewise_linear_values(point, expected):
     ls = make_piecewise_linear()
-    got = evaluate_batch(ls, np.array(point)[None], EvalCounter())[0]
+    got = evaluate_batch(ls, np.array(point)[None])[0]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -48,48 +47,35 @@ def test_piecewise_linear_breakpoint_continuity():
 )
 def test_beta_points_values(point, expected):
     ls = make_beta_points()
-    assert evaluate_batch(ls, np.array(point)[None], EvalCounter())[0] == pytest.approx(expected)
+    assert evaluate_batch(ls, np.array(point)[None])[0] == pytest.approx(expected)
 
 
 def test_beta_points_sign_symmetry():
     ls = make_beta_points()
     pts = RandomStream(3).standard_normal((200, 2))
-    ctr = EvalCounter()
-    base = evaluate_batch(ls, pts, ctr)
+    base = evaluate_batch(ls, pts)
     for sx, sy in [(1, -1), (-1, 1), (-1, -1)]:
         flipped = pts * np.array([sx, sy])
-        np.testing.assert_allclose(evaluate_batch(ls, flipped, ctr), base, atol=1e-12)
+        np.testing.assert_allclose(evaluate_batch(ls, flipped), base, atol=1e-12)
 
 
 def test_evaluator_deterministic():
     ls = make_piecewise_linear()
     p = np.array([0.3, -1.2])
-    ctr = EvalCounter()
-    assert evaluate_batch(ls, p[None], ctr)[0] == evaluate_batch(ls, p[None], ctr)[0]
-
-
-def test_counter_tracks_every_call():
-    ls = make_beta_points()
-    ctr = EvalCounter()
-    evaluate_batch(ls, np.zeros(2)[None], ctr)
-    assert ctr.count == 1
-    evaluate_batch(ls, np.zeros((7, 2)), ctr)
-    assert ctr.count == 8
-    with pytest.raises(ValueError):
-        ctr.add(-1)
+    assert evaluate_batch(ls, p[None])[0] == evaluate_batch(ls, p[None])[0]
 
 
 def test_dimension_mismatch_is_configuration_error():
     ls = make_piecewise_linear()
     with pytest.raises(ConfigurationError):
-        evaluate_batch(ls, np.zeros(3)[None], EvalCounter())
+        evaluate_batch(ls, np.zeros(3)[None])
     with pytest.raises(ConfigurationError):
-        evaluate_batch(ls, np.zeros((4, 1)), EvalCounter())
+        evaluate_batch(ls, np.zeros((4, 1)))
 
 
 def test_linear_problem_value():
     ls = make_linear(2.5)
-    assert evaluate_batch(ls, np.array([1.0])[None], EvalCounter())[0] == pytest.approx(1.5)
+    assert evaluate_batch(ls, np.array([1.0])[None])[0] == pytest.approx(1.5)
     for make, dimension in [(make_linear, 0), (make_linear, 2.5), (make_constant, 0)]:
         with pytest.raises(ConfigurationError, match="at least 1"):
             make(2.5, dimension)
@@ -117,9 +103,8 @@ def test_registry_user_extension():
 
 
 def test_builtin_trivial_problems():
-    ctr = EvalCounter()
-    assert evaluate_batch(get_problem("always_fail"), np.zeros((3, 2)), ctr).max() == -1.0
-    assert evaluate_batch(get_problem("never_fail"), np.zeros((3, 2)), ctr).min() == 1.0
+    assert evaluate_batch(get_problem("always_fail"), np.zeros((3, 2))).max() == -1.0
+    assert evaluate_batch(get_problem("never_fail"), np.zeros((3, 2))).min() == 1.0
 
 
 def _raises(pts):
@@ -139,14 +124,12 @@ def _raises(pts):
 )
 def test_bad_g_output_is_evaluation_error(evaluator, fault):
     ls = LimitState("bad_g", 2, evaluator)
-    ctr = EvalCounter()
-    ctr.add(10)
     pts = np.zeros((5, 2))
     pts[:2, 0] = 1.0
     with pytest.raises(EvaluationError) as exc:
-        evaluate_batch(ls, pts, ctr)
+        evaluate_batch(ls, pts)
     assert "'bad_g'" in str(exc.value) and fault in str(exc.value)
-    assert exc.value.n_evals == 15
+    assert exc.value.n_evals == 5  # the batch's points
     assert not isinstance(exc.value, ConfigurationError)
     with pytest.raises(EvaluationError):
-        evaluate_batch(ls, np.ones(2)[None], EvalCounter())
+        evaluate_batch(ls, np.ones(2)[None])

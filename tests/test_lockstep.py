@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from dirss import (
     ConfigurationError,
-    EvalCounter,
     EvaluationError,
     ExperimentConfig,
     LimitState,
@@ -219,14 +218,14 @@ def test_runs_whose_proposals_all_land_in_closed_bins_keep_in_step():
                          [RandomStream(10, k) for k in ks], *[request(k) for k in ks])
 
     steps = stepper(range(3))
-    group, ctrs = run_steps(steps), steps.ctrs
+    group, n_evals = run_steps(steps), steps.n_evals
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
         steps = stepper([k])
-        alone, ctr = run_steps(steps)[0], steps.ctrs[0]
+        alone = run_steps(steps)[0]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, group[k]))
-        assert ctr.count == ctrs[k].count == sum(calls.sizes) < 299  # some rounds were free
+        assert steps.n_evals[0] == n_evals[k] == sum(calls.sizes) < 299  # some rounds were free
         solo.append(len(calls.sizes))
     assert n_group == max(solo)
     # a run's population fills its n rows
@@ -548,7 +547,7 @@ class _Requests:
 
     def __init__(self, ls, n, partition, mcmc, streams, *requests: ChainRequest):
         self.ls, self.n, self.partition, self.mcmc, self.streams = ls, n, partition, mcmc, streams
-        self.requests, self.ctrs = requests, [EvalCounter() for _ in streams]
+        self.requests, self.n_evals = requests, np.zeros(len(streams), np.int64)
         self.results = [None] * sum(r.n_seeds.size for r in requests)
 
     def send(self, ks, slab):
@@ -583,19 +582,19 @@ def test_runs_without_a_chain_step_enter_next_to_runs_that_chain():
         row[at] = a
     request = ChainRequest(*rows, at, np.array([7, n, 11]), np.concatenate(counts), gamma)
     steps = _Requests(ls, n, part, cfg, [RandomStream(13, k) for k in range(3)], request)
-    group, ctrs = run_steps(steps), steps.ctrs
+    group, n_evals = run_steps(steps), steps.n_evals
     n_group, solo = len(calls.sizes), []
     for k in range(3):
         calls.sizes.clear()
-        ctr, stream = EvalCounter(), RandomStream(13, k)
+        stream = RandomStream(13, k)
         alone = propagate_chains(seeds[k], gvals[k], part.classify(seeds[k]), counts[k],
-                                 gamma[k], cfg, stream, ls, part, ctr)
+                                 gamma[k], cfg, stream, ls, part)
         assert [a.tobytes() for a in alone] == [a.tobytes() for a in group[k]]
-        assert ctr.count == ctrs[k].count == sum(calls.sizes)
+        assert n_evals[k] == sum(calls.sizes)
         solo.append(len(calls.sizes))
         # each stream is left where the run alone leaves it
         assert stream.standard_normal(3).tobytes() == steps.streams[k].standard_normal(3).tobytes()
-    assert solo[1] == ctrs[1].count == 0
+    assert solo[1] == n_evals[1] == 0
     assert group[1][0].tobytes() == seeds[1].tobytes()
     assert n_group == max(solo) > 0
 

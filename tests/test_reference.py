@@ -4,7 +4,7 @@ of ``replicate`` equals it, field by field and byte by byte.
 The reference runs one run, one level and one chain at a time, in plain
 loops: Au & Beck's subset simulation with PAPER.md's per-bin thresholds.
 It shares no code with the lockstep loop. It uses only the problem, the
-partition, g-call accounting (``evaluate_batch``) and the two kernels that
+partition, the checked g-call (``evaluate_batch``) and the two kernels that
 test_kernels.py checks against independent implementations,
 ``interp_quantile`` and ``residual_resample``. A run consumes its
 ``RandomStream`` in this order: its level-0 draw; then, per level, the
@@ -27,7 +27,6 @@ from test_lockstep import _PINNED, CASE1, SLIVER, _fields
 
 from dirss import (
     BinOutcome,
-    EvalCounter,
     EvaluationError,
     ExperimentConfig,
     LevelRecord,
@@ -55,37 +54,39 @@ def reference_run(cfg: ExperimentConfig, stream_id: int) -> RunResult:
     the run's points fails the run, with no level and every bin unresolved."""
     ls = get_problem(cfg.problem)
     part = build_partition(cfg, ls.dimension)
-    stream, ctr = RandomStream(cfg.seed, stream_id), EvalCounter()
+    stream, spent = RandomStream(cfg.seed, stream_id), [0]  # the points sent to g
     try:
         if cfg.algorithm == "mcs":
-            return _monte_carlo(ls, cfg.n, stream, ctr)
-        return _subset(cfg, ls, part, stream, ctr)
+            return _monte_carlo(ls, cfg.n, stream, spent)
+        return _subset(cfg, ls, part, stream, spent)
     except EvaluationError as exc:
         outcomes = tuple(BinOutcome(j, "unresolved", None, None, 0.0, float(p))
                          for j, p in enumerate(part.probs))
-        return RunResult(cfg.algorithm, 0.0, outcomes, 0, exc.n_evals, 1.0, "failed", (),
+        return RunResult(cfg.algorithm, 0.0, outcomes, 0, spent[0], 1.0, "failed", (),
                          np.empty((0, ls.dimension)), reason=str(exc))
 
 
-def _monte_carlo(ls, n, stream, ctr) -> RunResult:
+def _monte_carlo(ls, n, stream, spent) -> RunResult:
     fail, done = [], 0
     while done < n:
         pts = stream.standard_normal((min(_MCS_CHUNK, n - done), ls.dimension))
-        fail += [x for x, g in zip(pts, evaluate_batch(ls, pts, ctr).tolist()) if g <= 0.0]
+        spent[0] += len(pts)
+        fail += [x for x, g in zip(pts, evaluate_batch(ls, pts).tolist()) if g <= 0.0]
         done += len(pts)
     pf = len(fail) / n
-    return RunResult("mcs", pf, (BinOutcome(0, "finished", 0, pf, pf, 0.0),), 1, ctr.count,
+    return RunResult("mcs", pf, (BinOutcome(0, "finished", 0, pf, pf, 0.0),), 1, spent[0],
                      0.0, "converged", (LevelRecord(0, (0.0,), (n,), len(fail), pf, 0.0),),
                      np.array(fail).reshape(-1, ls.dimension))
 
 
-def _subset(cfg, ls, part, stream, ctr) -> RunResult:
+def _subset(cfg, ls, part, stream, spent) -> RunResult:
     """dSS over ``part``; SS is dSS with one bin whose last threshold is forced to 0."""
     n, rho, dim, p0, ss = cfg.n, cfg.rho, ls.dimension, part.probs, cfg.algorithm == "ss"
     corr, scale = cfg.mcmc_corr, math.sqrt(1.0 - cfg.mcmc_corr**2)
     n_bins = part.n_bins
     pts = stream.standard_normal((n, dim))
-    gv, bins = evaluate_batch(ls, pts, ctr).tolist(), part.classify(pts).tolist()
+    spent[0] += n
+    gv, bins = evaluate_batch(ls, pts).tolist(), part.classify(pts).tolist()
     gamma, active, empty = [math.inf] * n_bins, [True] * n_bins, [0] * n_bins
     outcomes, fails, records, starved_mass, d = {}, [], [], 0.0, 0.0
     for t in itertools.count():
@@ -132,8 +133,9 @@ def _subset(cfg, ls, part, stream, ctr) -> RunResult:
             pbins = part.classify(np.array(props)).tolist()
             # a proposal into a closed bin is rejected without a g-evaluation
             to_g = [i for i, b in enumerate(pbins) if table[b] > -math.inf]
+            spent[0] += len(to_g)
             g_new = dict(zip(to_g, evaluate_batch(
-                ls, np.array([props[i] for i in to_g]), ctr).tolist() if to_g else []))
+                ls, np.array([props[i] for i in to_g])).tolist() if to_g else []))
             for i, c in enumerate(live):
                 g = g_new.get(i, math.inf)
                 c.append((props[i], g, pbins[i]) if g <= table[pbins[i]] else c[-1])
@@ -146,7 +148,7 @@ def _subset(cfg, ls, part, stream, ctr) -> RunResult:
     ordered = tuple(outcomes[j] for j in range(n_bins))
     return RunResult(
         cfg.algorithm, float(sum(o.pi_hat for o in ordered if o.status == "finished")),
-        ordered, t + 1, ctr.count, float(sum(o.bound for o in ordered)), status,
+        ordered, t + 1, spent[0], float(sum(o.bound for o in ordered)), status,
         tuple(records), np.array(fails).reshape(-1, dim),
         _EXTINCT if status == "failed" else "")
 
