@@ -41,17 +41,28 @@ from .partition import Partition, from_spec, make_single_bin
 ALGORITHMS = ("mcs", "ss", "dss")
 
 # Runs of a group share g-calls; a group holds _GROUP_POINTS // (n * dim) runs, but
-# at least three while n * dim <= _GROUP_POINTS (see group_size). Chosen by a sweep
-# of 2**16 ... 2**20 over dSS and SS batches (n=500 to 4000, cheap g): 2**18 was
-# fastest, or within noise of 2**19, on each, and 2**19 peaked about 10 MB higher;
-# at 2**20 both 1000 cheap runs and groups of large runs (n*dim=200000) were
-# slower. A slab array of 2**18 float64 is 2 MiB, one core's L2 cache on the
-# 2-core Xeon it was measured on. A group reads every level of its runs in its
-# slab and peaks at about n*(3*dim+9)*8 bytes a run (README): for n*dim = 200000
-# (dSS, 1024 orthants, n=20000 in 10-D) three runs peak at 17.0-17.55 MB of traced
-# memory, and share g-calls at 14.7 a run, against 21.7 in pairs and 35.5 alone.
-# Over 10 alternating 30 s bench pairs of triples against pairs, ms_per_run fell
-# by 4.5% in the median (lower in 7 of 10) and peak RSS rose from 88.0 to 92.5 MB.
+# at least five while n * dim <= _GROUP_POINTS (see group_size). 2**18 was chosen
+# by a sweep of 2**16 ... 2**20 over dSS and SS batches (n=500 to 4000, cheap g):
+# it was fastest, or within noise of 2**19, on each, 2**19 peaked about 10 MB
+# higher, and at 2**20 1000 cheap runs were slower. A slab array of 2**18 float64
+# is 2 MiB, one core's L2 cache on the 2-core Xeon it was measured on.
+# A group makes as many g-calls as the busiest of its runs alone, so the floor
+# sets the g-calls of large runs. Floors 3 to 8 on the orthants_d10 config (dSS,
+# 1024 orthants, n=20000 in 10-D, n*dim = 200000), 20 runs in batches of 5, 10
+# and 20; the medians of three alternating passes, the traced peak of a batch's
+# replicate (with the results it holds):
+#   floor   g-calls a run      traced peak, MB     ru_maxrss, MB      CPU, ms a run
+#   3       14.45 14.75 12.90  15.8 19.4 24.7      57.9 57.5 64.7     62.5 55.2 60.2
+#   4       14.40 11.15  9.35  20.9 22.8 30.3      59.3 61.7 69.3     61.9 56.8 52.3
+#   5        7.40  7.50  7.50  26.0 28.7 34.9      64.2 68.1 73.9     62.5 61.2 64.3
+#   6        7.40  7.50  7.55  26.0 30.7 37.7      64.2 71.5 78.0     50.7 62.6 62.9
+#   7        7.40  7.55  5.70  26.0 35.9 39.7      64.2 77.6 81.6     56.9 62.4 58.5
+#   8        7.40  7.55  5.70  26.0 41.2 45.4      64.2 81.7 86.9     56.9 56.4 59.2
+# Five halves the g-calls of three at every batch size; six to eight save more
+# only where a batch fills their groups, at 4 to 13 MB more RSS. CPU a run does
+# not follow the floor (45-66 ms over all passes, as the host drifts), so groups
+# of five large runs are no slower than groups of three. A group peaks at about
+# n*(2*dim+13)*8 bytes a run (README).
 _GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from
@@ -153,9 +164,13 @@ def _checked_partition(cfg: ExperimentConfig, dimension: int) -> Partition:
 
 def group_size(cfg: ExperimentConfig, dimension: int) -> int:
     """Runs advanced together in one group: ``_GROUP_POINTS // (n * dim)``, at
-    least three while ``n * dim`` is at most ``_GROUP_POINTS``, else one."""
+    least five while ``n * dim`` is at most ``_GROUP_POINTS``, else one.
+
+    A group makes as many g-calls as its busiest run alone, so five runs of
+    n=20000 in 10-D make half the g-calls a run of three; a group's memory is
+    about n*(2*dim+13)*8 bytes a run (README)."""
     points = cfg.n * dimension
-    return max(1 + 2 * (points <= _GROUP_POINTS), _GROUP_POINTS // points)
+    return max(1 + 4 * (points <= _GROUP_POINTS), _GROUP_POINTS // points)
 
 
 def run_single(cfg: ExperimentConfig, stream_id: int) -> RunResult:

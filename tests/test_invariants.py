@@ -19,8 +19,9 @@ from dirss import (
     make_piecewise_linear,
     register_problem,
     replicate,
+    run_single,
 )
-from dirss.harness import build_partition, build_problem
+from dirss.harness import build_partition, build_problem, group_size
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n
@@ -39,14 +40,15 @@ _PROBLEMS = {"piecewise_linear": 2, "beta_points": 2, "invariants_linear_d3": 3}
 
 
 class _Points:
-    """Points that the problems' evaluators see."""
+    """Points and calls that the problems' evaluators see."""
 
     def __init__(self):
-        self.count = 0
+        self.count = self.calls = 0
 
     def wrap(self, ls: LimitState) -> LimitState:
         def g(pts):
             self.count += pts.shape[0]
+            self.calls += 1
             return ls.evaluator(pts)
 
         return dataclasses.replace(ls, evaluator=g)
@@ -117,6 +119,28 @@ def test_dss_invariants(cfg):
             assert o.pi_hat == float(p0[o.bin]) * cfg.rho**o.level * o.p_final
         assert res.pf_hat == sum(o.pi_hat for o in finished)
         assert res.unresolved_bound == sum(o.bound for o in res.bin_outcomes)
+
+
+@pytest.mark.filterwarnings("ignore:bin with probability")
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_configs(), runs=st.integers(2, 7))
+def test_group_g_calls_are_the_largest_solo_count(cfg, runs):
+    # a run's g-calls fall on the group's steps in the order it makes them alone,
+    # so with a g that never faults a group makes the largest solo count: the
+    # size of a group is the only lever on g-calls
+    cfg = dataclasses.replace(cfg, runs=runs)
+    group, solo = _Points(), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dirss.harness.get_problem", lambda name: group.wrap(
+            limitstate.get_problem(name)))
+        replicate(cfg)
+        for i in range(runs):
+            solo.append(_Points())
+            mp.setattr("dirss.harness.get_problem", lambda name: solo[-1].wrap(
+                limitstate.get_problem(name)))
+            run_single(cfg, i)
+    assert group_size(cfg, build_problem(cfg).dimension) >= runs
+    assert group.calls == max(s.calls for s in solo)
 
 
 # Fails until a run is charged its points of a shared g-call that faults: the

@@ -116,10 +116,11 @@ def _assert_matches_solo(cfg: ExperimentConfig, results) -> None:
 def test_group_size_rule():
     cfg = ExperimentConfig("piecewise_linear", "dss", 500)
     assert group_size(cfg, 2) == 262
-    # n * dim <= 2**18: runs share g-calls at least three to a group; beyond 2**18 alone
-    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 3
+    assert group_size(dataclasses.replace(cfg, n=1000), 2) == 131
+    # n * dim <= 2**18: runs share g-calls at least five to a group; beyond 2**18 alone
+    assert group_size(dataclasses.replace(cfg, n=20000), 10) == 5
     assert group_size(dataclasses.replace(cfg, n=26300), 10) == 1
-    assert group_size(dataclasses.replace(cfg, n=13000), 10) == 3
+    assert group_size(dataclasses.replace(cfg, n=13000), 10) == 5
 
 
 def test_replicate_looks_the_problem_up_once(monkeypatch):
@@ -497,14 +498,14 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
-def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
-    # three runs of n=20000 in 10-D over 1024 orthants, one group: every level,
+def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
+    # five runs of n=20000 in 10-D over 1024 orthants, one group: every level,
     # level 0 included, is handed over as one set of views of the whole slab,
     # run k's population at index k, and the slab gathers the seeds through its
-    # own rows, so the group peaks within README's n*(3*dim+9)*8 bytes a run;
-    # with the populations of runs that end a level together stacked when their
-    # rows are not adjacent, three runs took up to 18.9 MB, and with level 0
-    # drawn beside the slab and the seeds gathered through a copy 21.2 MB
+    # own rows, and level 0 is classified, the proposals are made and the moves
+    # and states written without a copy of every point, so the group peaks
+    # within README's n*(2*dim+13)*8 bytes a run (26.4 MB); with level 0's
+    # orthants classified through an integer copy of it, five runs took 28.35 MB
     slabs, reads = [], []
     add, send = kernels._Lockstep.add, DssGroup.send
 
@@ -515,14 +516,14 @@ def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
     def logged_send(self, ks, slab):
         if slab is not None:
             own = slabs[-1]
-            reads.append((len(ks), all(a.shape[0] == 3 and a.size == b.size
+            reads.append((len(ks), all(a.shape[0] == 5 and a.size == b.size
                                        and np.shares_memory(a, b) for a, b in zip(
                                            slab, (own.out_p, own.out_g, own.out_b)))))
         return send(self, ks, slab)
 
     monkeypatch.setattr(kernels._Lockstep, "add", logged_add)
     monkeypatch.setattr(DssGroup, "send", logged_send)
-    cfg = ExperimentConfig("linear35_d10", "dss", 20000, partition="orthants", runs=3, seed=4)
+    cfg = ExperimentConfig("linear35_d10", "dss", 20000, partition="orthants", runs=5, seed=4)
     replicate(dataclasses.replace(cfg, n=100))  # first-use allocations, outside the trace
     slabs.clear()
     reads.clear()
@@ -534,8 +535,8 @@ def test_three_large_runs_read_their_populations_in_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert group_size(cfg, 10) == cfg.runs
-    assert peak <= cfg.runs * cfg.n * (3 * 10 + 9) * 8
-    assert reads[0] == (3, True)  # level 0 of the three runs
+    assert peak <= cfg.runs * cfg.n * (2 * 10 + 13) * 8
+    assert reads[0] == (5, True)  # level 0 of the five runs
     assert all(shared for _, shared in reads)
     assert sum(size for size, _ in reads) == sum(r.levels for r in results)
     _assert_matches_solo(cfg, results)

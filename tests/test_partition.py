@@ -15,7 +15,7 @@ from dirss import (
     make_orthants,
     make_single_bin,
 )
-from dirss.partition import from_spec
+from dirss.partition import BLOCK, from_spec
 
 CASE1_CUTS = (-math.pi + 0.8, 0.8)
 QUADRANT_CUTS = (-math.pi / 2, 0.0, math.pi / 2, math.pi)
@@ -133,6 +133,21 @@ def test_orthants():
     for dimension in (0, 2.5):
         with pytest.raises(ConfigurationError, match="at least 1"):
             make_orthants(dimension)
+
+
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                    st.floats(-1e3, 1e3))
+
+
+@given(dimension=st.integers(1, 20), data=st.data(), blocks=st.booleans())
+def test_orthant_is_the_sign_pattern_of_the_point(dimension, data, blocks):
+    # bit d of the bin is set where coordinate d is >= 0, -0.0 included and NaN
+    # not: the matmul of the signs, here over more rows than a block too
+    rows = data.draw(st.lists(st.lists(_COORDS, min_size=dimension, max_size=dimension),
+                              min_size=1, max_size=20))
+    pts = np.tile(np.array(rows), (BLOCK // len(rows) + 1 if blocks else 1, 1))
+    expected = (pts >= 0.0).astype(np.int64) @ (2 ** np.arange(dimension))
+    np.testing.assert_array_equal(make_orthants(dimension).classify(pts), expected)
 
 
 @pytest.mark.parametrize("part", builtin_partitions(), ids=lambda p: p.kind + str(p.n_bins))
