@@ -52,15 +52,15 @@ ALGORITHMS = ("mcs", "ss", "dss")
 # and 20; the medians of three alternating passes, the traced peak of a batch's
 # replicate (with the results it holds):
 #   floor   g-calls a run      traced peak, MB     ru_maxrss, MB      CPU, ms a run
-#   3       14.45 14.75 12.90  15.8 19.4 24.7      57.9 57.5 64.7     62.5 55.2 60.2
-#   4       14.40 11.15  9.35  20.9 22.8 30.3      59.3 61.7 69.3     61.9 56.8 52.3
-#   5        7.40  7.50  7.50  26.0 28.7 34.9      64.2 68.1 73.9     62.5 61.2 64.3
-#   6        7.40  7.50  7.55  26.0 30.7 37.7      64.2 71.5 78.0     50.7 62.6 62.9
-#   7        7.40  7.55  5.70  26.0 35.9 39.7      64.2 77.6 81.6     56.9 62.4 58.5
-#   8        7.40  7.55  5.70  26.0 41.2 45.4      64.2 81.7 86.9     56.9 56.4 59.2
-# Five halves the g-calls of three at every batch size; six to eight save more
-# only where a batch fills their groups, at 4 to 13 MB more RSS. CPU a run does
-# not follow the floor (45-66 ms over all passes, as the host drifts), so groups
+#   3       14.45 14.75 12.90  15.8 19.4 25.0      58.0 58.3 65.0     42.1 43.5 42.3
+#   4       14.40 11.15  9.35  20.9 22.8 30.3      60.0 62.5 69.7     44.0 43.0 43.5
+#   5        7.40  7.50  7.50  26.0 28.7 35.1      65.0 68.7 75.3     47.9 44.1 42.4
+#   6        7.40  7.50  7.55  26.0 30.7 37.7      65.0 72.0 78.0     43.9 43.6 45.7
+#   7        7.40  7.55  5.70  26.0 35.9 39.7      64.9 76.9 81.9     42.2 41.7 55.4
+#   8        7.40  7.55  5.70  26.0 41.2 45.4      65.0 81.3 86.6     48.1 43.0 46.0
+# Five halves the g-calls of three at every batch size; seven and eight save
+# more only in batches of 20, at 7 to 11 MB more RSS than five. CPU a run does
+# not follow the floor (40-67 ms over all passes, as the host drifts), so groups
 # of five large runs are no slower than groups of three. A group peaks at about
 # n*(2*dim+13)*8 bytes a run (README).
 _GROUP_POINTS = 2**18

@@ -135,15 +135,14 @@ class _Lockstep:
     their own rows of normals into the chains' start rows, and their rows of
     the threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
     bin, with one write of each array but the normals, which stay run by
-    run. A round of every run's chains is one array of proposals, one
-    ``classify``, one table lookup, one write and one accept; what would
-    copy every point of the round (the normals' share of the proposals,
-    the moves in open bins, the accepted moves, the states written on)
-    goes a block of rows at a time, so a round holds one array of its
-    points. A chain with steps left is in ``live`` or in the queue,
-    waiting on g; a run's level ends when none of its chains is left, and
-    the runs whose levels ended at one step are handed the whole slab,
-    run k's population at index k.
+    run. A round of every run's chains is one proposal expression, one
+    ``classify``, one table lookup, one write and one accept; the moves in
+    open bins are kept in the proposals' own array and the states written
+    on a block of rows at a time, with no copy of every point. A chain
+    with steps left is in ``live`` or in the queue, waiting on g; a run's
+    level ends when none of its chains is left, and the runs whose levels
+    ended at one step are handed the whole slab, run k's population at
+    index k.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -255,23 +254,17 @@ class _Lockstep:
             at = self.next[rows]
             draw = (self.cursor - first[:-1]).repeat(cnt) + np.arange(rows.size)
             self.cursor += cnt
-            # corr * state + scale * normal, with no second array of every proposal
-            prop = self.out_p.take(at - 1, axis=0)
-            prop *= self.corr
-            for b in blocks(rows.size):
-                prop[b] += self.scale * self.eps.take(draw[b], axis=0)
+            prop = (self.corr * self.out_p.take(at - 1, axis=0)
+                    + self.scale * self.eps.take(draw, axis=0))
             pbins = self.partition.classify(prop)
             gamma = self.gamma.take(rows // self.n * self.n_bins + pbins)
             ok = (gamma > -np.inf).nonzero()[0]
             stepped = cnt.nonzero()[0]
-            self.live = rows[:0]
-            if ok.size == rows.size:  # every proposal in an open bin, as always under SS
-                self.queue.append((prop, stepped, cnt[stepped], (rows, at, at, pbins, gamma)))
-                return
             n_ok = ok.searchsorted(first)
             n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
             candidates = (at.take(ok), pbins.take(ok), gamma.take(ok))
+            self.live = rows[:0]
             if np.count_nonzero(idle):
                 idle_rows = idle.repeat(cnt[stepped])  # rows are sorted by run
                 mine, rest = idle_rows.nonzero()[0], (~idle_rows).nonzero()[0]
@@ -303,10 +296,8 @@ class _Lockstep:
             live.append(self._advance(rows, at, runs))
             hit = (g <= gamma).nonzero()[0]
             acc = slots.take(hit)
+            self.out_v[acc] = points.view(self.out_v.dtype)[:, 0].take(hit)
             self.out_g[acc], self.out_b[acc] = g.take(hit), pbins.take(hit)
-            moves = points.view(self.out_v.dtype)[:, 0]
-            for b in blocks(hit.size):  # no copy of every accepted move
-                self.out_v[acc[b]] = moves.take(hit[b])
         self.queue = []
         if live:  # rounds of different runs: a merge of sorted rows
             self.live = np.sort(np.concatenate(live), kind="stable") if len(live) > 1 else live[0]

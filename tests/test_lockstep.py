@@ -502,10 +502,12 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     # five runs of n=20000 in 10-D over 1024 orthants, one group: every level,
     # level 0 included, is handed over as one set of views of the whole slab,
     # run k's population at index k, and the slab gathers the seeds through its
-    # own rows, and level 0 is classified, the proposals are made and the moves
-    # and states written without a copy of every point, so the group peaks
+    # own rows, and the orthants are classified, the moves in open bins kept and
+    # the states written on without a copy of every point, so the group peaks
     # within README's n*(2*dim+13)*8 bytes a run (26.4 MB); with level 0's
-    # orthants classified through an integer copy of it, five runs took 28.35 MB
+    # orthants classified through an integer copy of it, five runs took 28.35 MB,
+    # and with the states, or the moves and the states, copied whole 26.85 and
+    # 27.36 MB
     slabs, reads = [], []
     add, send = kernels._Lockstep.add, DssGroup.send
 
