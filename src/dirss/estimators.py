@@ -316,7 +316,7 @@ class DssGroup:
         starve = empty_streak >= _STARVE_LIMIT
         # the quantile of an empty bin is NaN, which fmin skips: its
         # threshold stays as it was
-        q = interp_quantile(gv.ravel(), key.ravel(), counts.size, rho, counts)
+        q = interp_quantile(gv.ravel(), key.ravel(), counts, rho)
         gamma = np.fmin(q.reshape(active.shape), self.gamma[rows])
         t = self.t[rows]
         if ss:  # SS's last level forces its one threshold to 0

@@ -77,6 +77,9 @@ def propagate_chains(
     seeds = offspring.nonzero()[0]
     if not seeds.size:
         raise ConfigurationError("at least one seed needs a positive offspring count")
+    if gamma.shape != (partition.n_bins,):
+        raise ConfigurationError(f"a threshold table of shape {gamma.shape} does not fit "
+                                 f"{partition.n_bins} bins")
     counts = offspring[seeds]
     request = ChainRequest(points, gvals, bins, seeds, np.array([seeds.size]), counts,
                            gamma[None])
@@ -177,13 +180,6 @@ class _Lockstep:
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
         self.ended: list[int] = []  # the runs whose level ended and that are not handed over
 
-    def add(self, ks, want) -> None:
-        """Enter the chains of runs ``ks``, or, for ``None``, draw every run's level 0."""
-        if want is None:
-            self.draw()
-        else:
-            self.enter(np.asarray(ks), want)
-
     def draw(self) -> None:
         """Draw every run's level 0, ``n`` points from its own stream, into its rows,
         classify it there and queue it for g."""
@@ -197,16 +193,8 @@ class _Lockstep:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
         array for all, and draw each run's normals from its own stream; a run
         whose chains take no step ends its level with its seeds as its population."""
-        if want.gamma.shape != (ks.size, self.n_bins):
-            raise ConfigurationError(f"a threshold table of shape {want.gamma.shape} does not "
-                                     f"fit {ks.size} runs of {self.n_bins} bins")
         m, counts, seeds = want.n_seeds, want.counts, want.seeds
         firsts = m.cumsum() - m  # each run's first seed
-        size = np.add.reduceat(counts, firsts)
-        if np.count_nonzero(size != self.n):
-            raise ConfigurationError(
-                f"a population of {size[size != self.n][0]} does not fill the {self.n} rows "
-                "of a run")
         # a seed's chain writes after the chains of its run's earlier seeds. The
         # seeds may be rows of the slab that the runs were handed, so all are
         # gathered before any is written: a run's points go through its rows of
@@ -312,10 +300,7 @@ class _Lockstep:
         for out in (self.out_g, self.out_b):
             out[at] = out[prev]
         self.next[rows] = at + 1
-        more = at != self.last[rows]
-        if np.count_nonzero(more) == rows.size:  # every chain has steps left
-            return rows
-        left = rows.compress(more)
+        left = rows.compress(at != self.last[rows])
         first = left.searchsorted(self.bounds)
         self.ended += stepped[first[stepped + 1] == first[stepped]].tolist()
         return left
@@ -374,7 +359,8 @@ def run_steps(steps) -> list:
     next request: at the start, every run and ``None``. It returns ``(runs,
     request)`` pairs: ``None`` at the start, for each run's level 0 of ``n``
     points, which it draws from its stream into its rows of the slab, or a
-    :class:`ChainRequest` of the runs, each filling ``n`` rows. A run that
+    :class:`ChainRequest` of the runs, each run's counts summing to ``n`` and
+    its table row one entry a bin (the stepper keeps this, unchecked). A run that
     ends sets its entry of ``results``. A step makes one g-call (none without
     points) for every level 0 and every chain proposal in an open bin, each
     run charged its own points on its entry of ``n_evals``. A run whose chains take no step, or
@@ -388,7 +374,10 @@ def run_steps(steps) -> list:
         # the requests are let go once the slab has taken them: a run holds no
         # copy of its seeds, which it names by row of the slab
         for runs, want in steps.send(ks, slab) if ks else ():
-            step.add(runs, want)
+            if want is None:
+                step.draw()
+            else:
+                step.enter(np.asarray(runs), want)
         want = None
         step.propose()
         ks, slab = step.handoff()
@@ -413,26 +402,18 @@ def run_alone(results: list):
     return out
 
 
-def residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarray:
+def residual_resample(n_seeds: np.ndarray, n_target: int, streams: list) -> np.ndarray:
     """Equal-weight residual resampling of one or more runs: offspring counts
     for each seed, stacked run by run.
 
-    Run i has ``m = n_seeds[i]`` seeds. Each receives floor(n_target / m)
-    offspring deterministically; the remaining r = n_target - m * floor(...)
-    are assigned by a multinomial draw with equal probabilities from
-    ``streams[i]``, made only if r > 0. Each run's counts sum to
-    ``n_target``. The deterministic shares of all runs are one array; only
-    the multinomial draws are made run by run.
+    Run i has ``m = n_seeds[i]`` seeds, an integer array of one entry a
+    stream. Each receives floor(n_target / m) offspring deterministically;
+    the remaining r = n_target - m * floor(...) are assigned by a
+    multinomial draw with equal probabilities from ``streams[i]``, made
+    only if r > 0. Each run's counts sum to ``n_target``. The deterministic
+    shares of all runs are one array; only the multinomial draws are made
+    run by run. The caller keeps m >= 1 and n_target >= 1 (unchecked).
     """
-    n_seeds = np.asarray(n_seeds, dtype=np.int64)
-    if n_seeds.ndim != 1 or n_seeds.size != len(streams):
-        raise ConfigurationError(
-            f"residual resampling needs a 1-D array of seed counts, one per stream; got "
-            f"shape {n_seeds.shape} for {len(streams)} streams")
-    if (n_seeds < 1).any():
-        raise ConfigurationError("residual resampling needs at least one seed")
-    if n_target < 1:
-        raise ConfigurationError("target population must be at least 1")
     base, rest = np.divmod(n_target, n_seeds)
     counts, end = base.repeat(n_seeds), 0
     for m, r, stream in zip(n_seeds.tolist(), rest.tolist(), streams):
@@ -446,7 +427,7 @@ def residual_resample(n_seeds, n_target: int, streams: list) -> np.ndarray:
 _LO_HI = np.array([[-1], [0]])
 
 
-def interp_quantile(values, bins, n_bins: int, rho: float, counts=None) -> np.ndarray:
+def interp_quantile(values, bins, counts, rho: float) -> np.ndarray:
     """Quantile of order ``rho`` of each bin's values, by linear interpolation
     of the empirical CDF and one sort of the population.
 
@@ -455,28 +436,15 @@ def interp_quantile(values, bins, n_bins: int, rho: float, counts=None) -> np.nd
     x_(floor(h))); a single value is returned as-is, and a bin with no
     values gives NaN. The population is sorted once by (bin, value);
     per-bin offsets come from the bin counts, and the interpolation is
-    done for all bins at once. A caller that has the bin counts,
-    ``np.bincount(bins, minlength=n_bins)``, can pass them as ``counts``;
-    its bins are then not checked again.
+    done for all bins at once. The caller keeps, unchecked: ``values`` and
+    ``bins`` are 1-D arrays of at least one float and its integer bin,
+    ``counts`` is ``np.bincount(bins)`` with one entry a bin, 0 < rho < 1.
     """
-    check_open_interval(rho, "quantile order rho")
-    values = np.asarray(values, dtype=float)
-    bins = np.asarray(bins, dtype=np.int64)
-    if values.ndim != 1 or bins.shape != values.shape:
-        raise ConfigurationError("values and bins must be 1-D arrays of equal length")
-    if values.size == 0:
-        return np.full(n_bins, np.nan)
-    if counts is None:
-        if bins.min() < 0:
-            raise ConfigurationError(f"bin index {bins.min()} is negative")
-        counts = np.bincount(bins, minlength=n_bins)
     k = counts
-    if k.size != n_bins:
-        raise ConfigurationError(f"bin index {k.size - 1} is out of range for {n_bins} bins")
     # value order, then a stable sort by bin, which is a radix sort for
     # up to 2**16 bins
     order = values.argsort()
-    by_bin = bins[order].astype(np.uint16 if n_bins <= 1 << 16 else np.int64)
+    by_bin = bins[order].astype(np.uint16 if k.size <= 1 << 16 else np.int64)
     order = order[by_bin.argsort(kind="stable")]
     # with h = (k - 1) * rho + 1 and i = floor(h),
     # x_(i) of bin j is the value at position end_j - k_j + i - 1 of order

@@ -221,7 +221,7 @@ def test_criterion_7_structural_properties():
     stream = RandomStream(7002)
     bounds_ok = True
     for m, n in [(7, 100), (100, 100), (33, 500), (150, 100)]:
-        counts = residual_resample([m], n, [stream])
+        counts = residual_resample(np.array([m]), n, [stream])
         base, r = n // m, n % m
         bounds_ok &= counts.sum() == n and counts.min() >= base and counts.max() <= base + r
     ok &= bounds_ok
@@ -235,10 +235,10 @@ def test_criterion_7_structural_properties():
     details.append(f"estimate decomposition {decomposition}")
 
     # each sample is the one bin of a population
-    quantile_ok = interp_quantile(np.arange(1.0, 11.0), np.zeros(10, np.int64), 1, 0.2)[0] == (
-        pytest.approx(2.8, abs=1e-12))
+    quantile_ok = interp_quantile(np.arange(1.0, 11.0), np.zeros(10, np.int64), np.array([10]),
+                                  0.2)[0] == pytest.approx(2.8, abs=1e-12)
     vals, one_bin = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0]), np.zeros(6, np.int64)
-    qs = [interp_quantile(vals, one_bin, 1, r)[0] for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    qs = [interp_quantile(vals, one_bin, np.array([6]), r)[0] for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
     quantile_ok &= all(a <= b + 1e-15 for a, b in zip(qs, qs[1:]))
     ok &= quantile_ok
     details.append(f"quantile oracle {quantile_ok}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,15 +13,18 @@ from dirss import (
     BinOutcome,
     ConfigurationError,
     EvaluationError,
+    ExperimentConfig,
     LimitState,
     RandomStream,
     estimators,
     evaluate_batch,
     get_problem,
+    limitstate,
     make_angular_sectors_2d,
     make_linear,
     make_orthants,
     make_single_bin,
+    replicate,
     run_dss,
     run_mcs,
     run_ss,
@@ -371,3 +375,22 @@ def test_dss_pinned_run_on_orthants():
     # 7 levels x 64 thresholds and counts, compared through their repr
     digest = hashlib.sha256(repr(res.level_records).encode()).hexdigest()
     assert digest == "818fea2156e3539759a19706654b413d6bfbe9ee09be888b03019757f5e79eeb"
+
+
+# dSS reads about 0.8 of the exact value at 40 points a bin, with no warning;
+# fails until that bias is found and removed (README's "Known limitations";
+# ROADMAP item 10). SS on the same problem is the control.
+@pytest.mark.parametrize("algorithm", [
+    pytest.param("dss", marks=pytest.mark.xfail(
+        strict=True, reason="dSS reads low at few points a bin")),
+    "ss",
+])
+def test_mean_of_300_runs_is_within_3_standard_errors_of_exact(monkeypatch, algorithm):
+    # 6-D, n = 2560: dSS over 64 orthants holds 40 points a bin; SS runs on one bin
+    monkeypatch.setitem(limitstate._REGISTRY, "linear35_d6",
+                        partial(make_linear, 3.5, 6, "linear35_d6"))
+    cfg = ExperimentConfig("linear35_d6", algorithm, 2560, partition="orthants", runs=300,
+                           seed=1)
+    pf = np.array([r.pf_hat for r in replicate(cfg)])
+    exact = stats.norm.cdf(-3.5)
+    assert abs(pf.mean() - exact) <= 3 * pf.std(ddof=1) / math.sqrt(pf.size)

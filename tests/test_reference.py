@@ -90,8 +90,9 @@ def _subset(cfg, ls, part, stream, spent) -> RunResult:
     gamma, active, empty = [math.inf] * n_bins, [True] * n_bins, [0] * n_bins
     outcomes, fails, records, starved_mass, d = {}, [], [], 0.0, 0.0
     for t in itertools.count():
-        counts = np.bincount(bins, minlength=n_bins).tolist()
-        q = interp_quantile(gv, bins, n_bins, rho).tolist()
+        per_bin = np.bincount(bins, minlength=n_bins)
+        counts = per_bin.tolist()
+        q = interp_quantile(np.array(gv), np.array(bins), per_bin, rho).tolist()
         for j in range(n_bins):
             empty[j] = empty[j] + 1 if active[j] and not counts[j] else 0
             if q[j] < gamma[j]:  # the fmin clamp: an empty bin's NaN keeps its threshold
@@ -122,7 +123,7 @@ def _subset(cfg, ls, part, stream, spent) -> RunResult:
                       "failed" if any(active) and t < cfg.max_levels else "max_levels")
             break
         # the next population: one chain from each seed, its offspring count long
-        offspring = residual_resample([len(seeds)], n, [stream]).tolist()
+        offspring = residual_resample(np.array([len(seeds)]), n, [stream]).tolist()
         eps = stream.standard_normal((n - len(seeds), dim)) if len(seeds) < n else None
         chains, e = [[(pts[i], gv[i], bins[i])] for i in seeds], 0
         while live := [c for c, k in zip(chains, offspring) if len(c) < k]:
