@@ -7,12 +7,12 @@ per-level diagnostics, and the exact number of g-evaluations spent.
 
 The estimators run in groups, of one for ``run_mcs``, ``run_ss`` and
 ``run_dss`` and larger for the replicate harness, whose runs share each
-step's g-call. ``McsGroup`` runs MCS itself, chunk by chunk. SS and dSS
+step's g-call. ``mcs_group`` runs MCS itself, chunk by chunk. SS and dSS
 share one level loop, ``DssGroup``, a stepper that the lockstep loop
-``kernels.run_steps`` drives: it holds the group's fixed state and
-requests only what changes, and its runs share the chain slab; the runs
-that end a level at the same step share one threshold update and one
-handoff of their seeds to the slab.
+``kernels.run_steps`` drives: it holds the group's fixed state and its
+runs' bins in one table, requests only what changes, and its runs share
+the chain slab; the runs that end a level at the same step share one
+threshold update and one handoff of their seeds to the slab.
 
 Subset simulation (SS) runs one sequence of adaptive thresholds over
 the whole space. Directional subset simulation (dSS) runs a sequence of
@@ -108,65 +108,48 @@ class RunResult:
     reason: str = ""
 
 
-def _stack_points(chunks: list[np.ndarray], dim: int) -> np.ndarray:
-    if not chunks:
-        return np.empty((0, dim))
-    return np.vstack(chunks)
-
-
 def run_mcs(ls: LimitState, n: int, stream: RandomStream) -> RunResult:
     """Brute-force Monte Carlo: fraction of n i.i.d. draws with g <= 0, run as
-    a :class:`McsGroup` of one."""
-    return run_alone(McsGroup(ls, n, [stream]).run())
+    a :func:`mcs_group` of one."""
+    return run_alone(mcs_group(ls, n, [stream]))
 
 
-class McsGroup:
-    """:func:`run_mcs` for a group of runs.
+def mcs_group(ls: LimitState, n: int, streams: list[RandomStream]) -> list:
+    """:func:`run_mcs` for a group of runs; return the runs' results.
 
-    Run k draws from ``streams[k]`` and counts its evaluations in entry k
-    of the int64 array ``n_evals``. Each live run draws its next chunk of
-    at most ``_MCS_CHUNK`` points from its own stream, and the group's
-    chunks are evaluated in one g-call (:func:`kernels.evaluate_joined`);
-    a run whose points make g fail ends with the :class:`EvaluationError`
+    Each live run k draws its next chunk of at most ``_MCS_CHUNK`` points
+    from ``streams[k]``, and the group's chunks are evaluated, each run
+    charged its own, in one g-call (:func:`kernels.evaluate_joined`); a
+    run whose points make g fail ends with the :class:`EvaluationError`
     as its result and draws no further chunk.
     """
-
-    def __init__(self, ls: LimitState, n: int, streams: list[RandomStream]):
-        check_count(n, "n", unit=" sample")
-        self.ls, self.n, self.streams = ls, n, streams
-        self.n_evals = np.zeros(len(streams), np.int64)
-        self.fail_pts: list[list | None] = [[] for _ in streams]
-        self.results: list = [None] * len(streams)
-
-    def run(self) -> list:
-        """Draw and evaluate every run's chunks; return the runs' results."""
-        live, done, dim = list(range(len(self.streams))), 0, self.ls.dimension
-        while live and done < self.n:
-            size = min(_MCS_CHUNK, self.n - done)
-            done += size
-            points = np.empty((len(live), size, dim))
-            for k, out in zip(live, points):
-                self.streams[k].standard_normal(out=out)
-            gv, failed = evaluate_joined(self.ls, points.reshape(-1, dim), np.array(live),
-                                         np.full(len(live), size), self.n_evals)
-            for k, p, g in zip(live, points, gv.reshape(len(live), size)):
-                if k in failed:
-                    self.results[k] = failed[k]
-                else:
-                    self.fail_pts[k].append(p[g <= 0.0])
-            live = [k for k in live if k not in failed]
-        for k in live:
-            self._finish(k)
-        return self.results
-
-    def _finish(self, k: int) -> None:
-        fail = np.vstack(self.fail_pts[k])
-        self.fail_pts[k] = None  # the result holds the one copy
-        pf = len(fail) / self.n
-        outcome = BinOutcome(0, "finished", 0, pf, pf, 0.0)
-        record = LevelRecord(0, (0.0,), (self.n,), len(fail), pf, 0.0)
-        self.results[k] = RunResult("mcs", pf, (outcome,), 1, int(self.n_evals[k]), 0.0,
-                                    "converged", (record,), fail)
+    check_count(n, "n", unit=" sample")
+    dim, n_evals = ls.dimension, np.zeros(len(streams), np.int64)
+    fail_pts: list[list | None] = [[] for _ in streams]
+    results: list = [None] * len(streams)
+    live, done = list(range(len(streams))), 0
+    while live and done < n:
+        size = min(_MCS_CHUNK, n - done)
+        done += size
+        points = np.empty((len(live), size, dim))
+        for k, out in zip(live, points):
+            streams[k].standard_normal(out=out)
+        gv, failed = evaluate_joined(ls, points.reshape(-1, dim), np.array(live),
+                                     np.full(len(live), size), n_evals)
+        for k, p, g in zip(live, points, gv.reshape(len(live), size)):
+            if k in failed:
+                results[k] = failed[k]
+            else:
+                fail_pts[k].append(p[g <= 0.0])
+        live = [k for k in live if k not in failed]
+    for k in live:
+        fail = np.vstack(fail_pts[k])
+        fail_pts[k] = None  # the result holds the one copy
+        pf = len(fail) / n
+        results[k] = RunResult("mcs", pf, (BinOutcome(0, "finished", 0, pf, pf, 0.0),), 1,
+                               int(n_evals[k]), 0.0, "converged",
+                               (LevelRecord(0, (0.0,), (n,), len(fail), pf, 0.0),), fail)
+    return results
 
 
 def run_ss(
@@ -246,14 +229,16 @@ class DssGroup:
     bins, and share one level update: one bin count and one
     :func:`interp_quantile` over the key ``run * J + bin`` (a bin's
     quantile depends on its own values only, so each run gets its own bit
-    for bit), one mask each to finish, starve and seed bins, and one pass
-    over the bins that finish or starve. The runs that go on name their
-    seeds by row of the slab, in one :class:`ChainRequest`, and the slab
-    gathers them into their chains; failing points are gathered by slab
-    row too. Only each run's multinomial draw of resampling, in its own
-    stream, its level record and its outcomes stay run by run. A run
-    whose seeds fill its population takes no chain step; the slab hands
-    its seeds back at once, and its next level follows in the same step.
+    for bit), one mask each to finish, starve and seed bins, and one write
+    of the bins that finish or starve into the group's bin table, a row a
+    run, from which a run's :class:`BinOutcome` tuple is made when it ends.
+    The runs that go on name their seeds by row of the slab, in one
+    :class:`ChainRequest`, and the slab gathers them into their chains;
+    failing points are gathered by slab row too. Only each run's
+    multinomial draw of resampling, in its own stream, and its level
+    record stay run by run. A run whose seeds fill its population takes
+    no chain step; the slab hands its seeds back at once, and its next
+    level follows in the same step.
     """
 
     def __init__(self, ls: LimitState, partition: Partition, n: int, rho: float,
@@ -277,30 +262,31 @@ class DssGroup:
         self.gamma = np.full(shape, np.inf)
         self.active = np.ones(shape, dtype=bool)
         self.empty_streak = np.zeros(shape, dtype=np.int64)
+        # the bin table: the level a bin finished at (-1 until then), its failing
+        # fraction and contribution, and a starved bin's bound
+        self.level = np.full(shape, -1, dtype=np.int64)
+        self.p_final, self.pi, self.bound = np.zeros(shape), np.zeros(shape), np.zeros(shape)
         # per run: its level, p0 summed over its open bins, the mass written
         # off to starvation and the frozen estimate, summed in the order bins finish
         self.t = np.zeros(len(streams), dtype=np.int64)
         self.open_mass = np.full(len(streams), float(self.p0.sum()))
         self.starved_mass = np.zeros(len(streams))
         self.d = np.zeros(len(streams))
-        self.outcomes: list[dict] = [{} for _ in streams]
-        self.fail_pts: list[list | None] = [[] for _ in streams]
+        # each run's failing points, after an empty block for vstack
+        self.fail_pts: list[list | None] = [[np.empty((0, ls.dimension))] for _ in streams]
         self.records: list[list] = [[] for _ in streams]
         self.results: list = [None] * len(streams)
         self.rho_pow = np.ones(1)  # see _powers
         self.bin_offsets = (np.arange(len(streams)) * partition.n_bins)[:, None]
 
     def send(self, ks: list[int], slab) -> list[tuple]:
-        """Take the runs ``ks`` whose level ended and the slab, run k's population
-        at index k with its bins, level 0's too, or ``None`` at the start, when
-        every run asks for its level 0; return the requests of the runs that go on."""
+        """End the level of the runs ``ks`` from the slab ``(points, gvals, bins)``, run
+        k's population at index k, level 0's too, or ``None`` at the start, when every
+        run asks for its level 0; return one request for the chains of all the runs
+        that go on, their seeds named by row of the slab."""
         if slab is None:
             return [(ks, None)]
-        return self._levels(ks, *slab)
-
-    def _levels(self, ks: list[int], pts, slab_g, slab_b) -> list[tuple]:
-        """End a level of runs ``ks`` from the slab; return one request for the
-        chains of all the runs that go on, their seeds named by row of the slab."""
+        pts, slab_g, slab_b = slab
         rho, ss, rows = self.rho, self.algorithm == "ss", np.array(ks)
         # the runs' g-values and keys, n numbers each; points are read in the slab
         gv, key = slab_g.take(rows, axis=0), slab_b.take(rows, axis=0)
@@ -328,7 +314,7 @@ class DssGroup:
         self.gamma[rows], self.active[rows], self.empty_streak[rows] = gamma, active, empty_streak
         powers = self._powers(t.max() + 1)
         if np.count_nonzero(closing):
-            self._close_bins(ks, t, powers, starve, finish, active, pts, gv, key,
+            self._close_bins(rows, t, powers, starve, finish, active, pts, gv, key,
                              counts_per_bin, shift)
 
         # a seed lies at or below the threshold table, -inf for a closed bin but
@@ -374,57 +360,56 @@ class DssGroup:
             self.rho_pow = np.array([self.rho**i for i in range(2 * int(top) + 1)])
         return self.rho_pow
 
-    def _close_bins(self, ks, t, powers, starve, finish, active, pts, gv, key, counts,
+    def _close_bins(self, rows, t, powers, starve, finish, active, pts, gv, key, counts,
                     shift) -> None:
-        """Write off the starved bins and freeze the finished ones of the runs ``ks``
-        at once; each run's outcomes and sums are made bin by bin, as alone."""
+        """Write off the starved bins and freeze the finished ones of the runs ``rows``
+        into the bin table at once; ``np.add.at`` adds to each run's sums in turn,
+        bin by bin, as alone."""
         p0 = self.p0
         sr, sj = starve.nonzero()
-        if sr.size:
-            for r, j, b in zip(sr.tolist(), sj.tolist(), (p0[sj] * powers[t[sr] + 1]).tolist()):
-                self.starved_mass[ks[r]] += b
-                self.outcomes[ks[r]][j] = BinOutcome(j, "starved", None, None, 0.0, b)
+        b = p0[sj] * powers[t[sr] + 1]
+        self.bound[rows[sr], sj] = b
+        np.add.at(self.starved_mass, rows[sr], b)
         fin = finish.any(axis=1).nonzero()[0]  # the runs that finish bins
-        if fin.size:
-            # the failing points of the finished bins, gathered from the slab at
-            # once, run by run and bin by bin
-            idx = (finish.ravel().take(key) & (gv <= 0.0)).ravel().nonzero()[0]
-            fail_key = key.ravel().take(idx)
-            idx = idx.take(fail_key.argsort(kind="stable"))
-            n_fail = np.bincount(fail_key, minlength=counts.size).reshape(counts.shape)
-            fr, fj = finish.nonzero()
-            p_final = n_fail[fr, fj] / counts[fr, fj]
-            pi_hat = p0[fj] * powers[t[fr]] * p_final
-            levels = t.tolist()
-            for r, j, pf, pi in zip(fr.tolist(), fj.tolist(), p_final.tolist(), pi_hat.tolist()):
-                self.outcomes[ks[r]][j] = BinOutcome(j, "finished", levels[r], pf, pi, 0.0)
-                self.d[ks[r]] += pi
-            run_of = idx // gv.shape[1]
-            got = pts.reshape(-1, pts.shape[2]).take(idx + shift.take(run_of), axis=0)
-            ends = np.bincount(run_of, minlength=gv.shape[0])[fin].cumsum().tolist()
-            for i, r in enumerate(fin.tolist()):
-                self.fail_pts[ks[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
+        # the failing points of the finished bins, gathered from the slab at
+        # once, run by run and bin by bin
+        idx = (finish.ravel().take(key) & (gv <= 0.0)).ravel().nonzero()[0]
+        fail_key = key.ravel().take(idx)
+        idx = idx.take(fail_key.argsort(kind="stable"))
+        n_fail = np.bincount(fail_key, minlength=counts.size).reshape(counts.shape)
+        fr, fj = finish.nonzero()
+        p_final = n_fail[fr, fj] / counts[fr, fj]
+        pi_hat = p0[fj] * powers[t[fr]] * p_final
+        self.level[rows[fr], fj], self.p_final[rows[fr], fj] = t[fr], p_final
+        self.pi[rows[fr], fj] = pi_hat
+        np.add.at(self.d, rows[fr], pi_hat)
+        run_of = idx // gv.shape[1]
+        got = pts.reshape(-1, pts.shape[2]).take(idx + shift.take(run_of), axis=0)
+        ends = np.bincount(run_of, minlength=gv.shape[0])[fin].cumsum().tolist()
+        for i, r in enumerate(fin.tolist()):
+            self.fail_pts[rows[r]].append(got[ends[i - 1] if i else 0 : ends[i]])
         for r in (starve | finish).any(axis=1).nonzero()[0].tolist():
-            self.open_mass[ks[r]] = p0[active[r]].sum()
+            self.open_mass[rows[r]] = p0[active[r]].sum()
 
     def _finish(self, k: int, status: str) -> None:
-        t, p0, rho, outcomes = int(self.t[k]), self.p0, self.rho, self.outcomes[k]
-        for j in np.flatnonzero(self.active[k]):
-            outcomes[j] = BinOutcome(
-                int(j), "unresolved", None, None, 0.0, float(p0[j]) * rho ** (t + 1)
-            )
-        ordered = tuple(outcomes[j] for j in range(p0.size))
-        pf = float(sum(o.pi_hat for o in ordered if o.status == "finished"))
+        t = int(self.t[k])
+        bound = np.where(self.active[k], self.p0 * self.rho ** (t + 1), self.bound[k]).tolist()
+        pi = self.pi[k].tolist()
+        bins = zip(self.level[k].tolist(), self.p_final[k].tolist(), pi, bound,
+                   self.active[k].tolist())
+        outcomes = tuple(BinOutcome(j, "finished", lv, pf, p, 0.0) if lv >= 0 else
+                         BinOutcome(j, "unresolved" if a else "starved", None, None, 0.0, b)
+                         for j, (lv, pf, p, b, a) in enumerate(bins))
         self.results[k] = RunResult(
             algorithm=self.algorithm,
-            pf_hat=pf,
-            bin_outcomes=ordered,
+            pf_hat=sum(pi),  # in bin order; the other bins' zeros add exactly
+            bin_outcomes=outcomes,
             levels=t + 1,
             n_evals=int(self.n_evals[k]),
-            unresolved_bound=float(sum(o.bound for o in ordered)),
+            unresolved_bound=sum(bound),
             status=status,
             level_records=tuple(self.records[k]),
-            failure_points=_stack_points(self.fail_pts[k], self.ls.dimension),
+            failure_points=np.vstack(self.fail_pts[k]),
             reason=_EXTINCT if status == "failed" else "",
         )
         self.fail_pts[k] = None  # the result holds the one copy

@@ -28,8 +28,8 @@ from .errors import ConfigurationError, EvaluationError, check_count, check_open
 from .estimators import (  # noqa: F401 - perfbench/spans.py patches run_ss, run_dss here
     BinOutcome,
     DssGroup,
-    McsGroup,
     RunResult,
+    mcs_group,
     run_dss,
     run_ss,
 )
@@ -204,7 +204,7 @@ def _run_group(cfg: ExperimentConfig, ls: LimitState, part: Partition,
                stream_ids: Sequence[int]) -> list[RunResult]:
     streams = [RandomStream(cfg.seed, stream_id=sid) for sid in stream_ids]
     if cfg.algorithm == "mcs":
-        done = McsGroup(ls, cfg.n, streams).run()
+        done = mcs_group(ls, cfg.n, streams)
     else:  # SS is dSS with a single bin
         done = run_steps(DssGroup(ls, part, cfg.n, cfg.rho, McmcConfig(cfg.mcmc_corr),
                                   cfg.eps_tol, cfg.max_levels, streams, cfg.algorithm))

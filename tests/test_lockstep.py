@@ -45,6 +45,8 @@ from dirss.kernels import (
 
 CASE1 = (-math.pi + 0.8, 0.8)
 SLIVER = (-math.pi + 0.8, 0.75, 0.8)  # a 0.05 rad bin that starves at small n
+# two thin bins: at n=200 a run finishes two bins at one level, and one run starves a bin
+TWINS = (-math.pi / 2, -0.02, 0.0, 1.0, 1.02, math.pi / 2)
 
 
 def _rare(pts: np.ndarray, rate: float) -> np.ndarray:
@@ -413,12 +415,17 @@ _PINNED = [
     (ExperimentConfig("linear_d6", "dss", 400, partition="orthants", runs=3, seed=24),
      "8147dae138ed9045aa82813f27ed5df341ac61cfdaa41e5c6aaaef91a74eb5e3",
      21, "a9dbd8d778a3a8ff"),
+    (ExperimentConfig("piecewise_linear", "dss", 200, partition="angular", cuts=TWINS,
+                      runs=5, seed=0, max_levels=10),
+     "a7b5a473926b76ce037627b871c62b05a16c3ebd63b5ee5e4a1869a0666b3325",
+     46, "9f4df1095a6d6eab"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
 @pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest", _PINNED,
-                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6"])
+                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
+                              "dss-twins"])
 def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, sizes_digest):
     calls = _Calls()
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
@@ -426,6 +433,10 @@ def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, size
     results = replicate(cfg)
     if cfg.cuts == SLIVER:
         assert any(o.status == "starved" for r in results for o in r.bin_outcomes)
+    if cfg.cuts == TWINS:  # the bin table's sums see both cases
+        levels = [[o.level for o in r.bin_outcomes if o.status == "finished"] for r in results]
+        assert any(len(set(lv)) < len(lv) for lv in levels) and any(
+            o.status == "starved" for r in results for o in r.bin_outcomes)
     assert _digest(results) == digest
     assert len(calls.sizes) == n_calls
     assert hashlib.sha256(repr(calls.sizes).encode()).hexdigest()[:16] == sizes_digest

@@ -250,6 +250,7 @@ def test_replicate_equals_the_reference(cfg):
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
 @pytest.mark.parametrize("cfg", [c for c, *_ in _PINNED],
-                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6"])
+                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
+                              "dss-twins"])
 def test_pinned_configs_equal_the_reference(cfg):
     _assert_matches_reference(cfg)
