@@ -61,8 +61,10 @@ ALGORITHMS = ("mcs", "ss", "dss")
 # Five halves the g-calls of three at every batch size; seven and eight save
 # more only in batches of 20, at 7 to 11 MB more RSS than five. CPU a run does
 # not follow the floor (40-67 ms over all passes, as the host drifts), so groups
-# of five large runs are no slower than groups of three. A group peaks at about
-# n*(2*dim+13)*8 bytes a run (README).
+# of five large runs are no slower than groups of three. The peaks were measured
+# with each run's level of normals in the slab; large runs now draw a round's
+# at a time (kernels._LEVEL_DRAW), and a group peaks at about n*(dim+13)*8 bytes
+# a run, or n*(2*dim+13)*8 if it draws a level's normals at once (README).
 _GROUP_POINTS = 2**18
 
 # Pinned reference probabilities for the built-in benchmarks, from
@@ -168,7 +170,8 @@ def group_size(cfg: ExperimentConfig, dimension: int) -> int:
 
     A group makes as many g-calls as its busiest run alone, so five runs of
     n=20000 in 10-D make half the g-calls a run of three; a group's memory is
-    about n*(2*dim+13)*8 bytes a run (README)."""
+    about n*(dim+13)*8 bytes a run, n*(2*dim+13)*8 where n*dim is at most
+    ``kernels._LEVEL_DRAW`` (README)."""
     points = cfg.n * dimension
     return max(1 + 4 * (points <= _GROUP_POINTS), _GROUP_POINTS // points)
 

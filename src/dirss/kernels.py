@@ -17,7 +17,26 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, check_open_interval
 from .gaussian import RandomStream
 from .limitstate import LimitState, evaluate_batch
-from .partition import Partition, blocks
+from .partition import BLOCK, Partition, blocks
+
+# A group whose runs draw at most _LEVEL_DRAW normals a level (n * dim) draws each
+# run's level in one call into a slab of n * dim floats a run; a larger one keeps
+# no such slab, and each round draws the normals it asks for. Both draw the same
+# normals in the same order. A round's draws cost a call a run, which a group of
+# many small runs pays in every round. 2**12 was set by a sweep of both schedules
+# on groups as harness.group_size makes them: CPU a run, round draws over level
+# draws, the median of 7 alternating passes (11 for 10-D dSS) on 2 shared cores of
+# an Intel Xeon; dSS on piecewise_linear with the case-1 cuts and SS on
+# beta_points in 2-D, SS on make_linear(3.5, 10) and dSS on it over 1024 orthants
+# in 10-D:
+#   n * dim        512    1000    2000    2896    4096    8192   16384   32768   65536
+#   2-D dSS       1.08    1.15    1.01    0.99   0.99*    0.98    0.91    0.96    0.98
+#   2-D SS                        0.98            1.02
+#   n * dim       1000    2000    4090   20480   40960   81920  163840  200000  327680
+#   10-D SS       1.06    1.02    1.00    0.99    0.95    0.94    0.97            0.97
+#   10-D dSS                                                      0.97    0.98    0.98
+# (* 0.89 in a second sweep)
+_LEVEL_DRAW = 2**12
 
 
 @dataclass(frozen=True)
@@ -59,7 +78,8 @@ def propagate_chains(
     evaluated once and accepted iff its g-value is at most ``gamma[j]``;
     a rejected step repeats the current state. The output population has
     exactly ``offspring.sum()`` members, each within its bin's threshold.
-    The level's normals come from one draw of ``stream``; each round
+    The level's normals come from ``stream``, in the order of a run of
+    :func:`run_steps` (one draw, or a draw a round); each round
     evaluates its proposals in open bins on ``ls`` in one g-call, so g
     sees exactly the evaluations the chains cost: this is a
     :class:`ChainRequest` of one run, which names its seeds by row of
@@ -131,21 +151,24 @@ class _Lockstep:
     The group's fixed state is read off its stepper (see :func:`run_steps`).
     Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its level 0,
     drawn and classified there, then the populations its chains write, each
-    chain's state being its last output, and its level's normals in draw
-    order, which its rounds take after its cursor, chain by chain, so each
-    run draws exactly what it draws alone. The runs of a
-    :class:`ChainRequest` enter their chains, gathering their seeds through
-    their own rows of normals into the chains' start rows, and their rows of
-    the threshold table ``gamma`` of shape ``(runs, J)``, -inf for a closed
-    bin, with one write of each array but the normals, which stay run by
-    run. A round of every run's chains is one proposal expression, one
-    ``classify``, one table lookup, one write and one accept; the moves in
-    open bins are kept in the proposals' own array and the states written
-    on a block of rows at a time, with no copy of every point. A chain
-    with steps left is in ``live`` or in the queue, waiting on g; a run's
-    level ends when none of its chains is left, and the runs whose levels
-    ended at one step are handed the whole slab, run k's population at
-    index k.
+    chain's state being its last output. A run's rounds take its normals
+    from its own stream in draw order, round by round and chain by chain,
+    so each run draws exactly what it draws alone: where a run draws at
+    most ``_LEVEL_DRAW`` normals a level (n * dim), it draws its level's in
+    one call into its rows of ``eps``, which its rounds take after its
+    cursor; else the group keeps no ``eps``, and each round draws each
+    run's next normals into one array. The runs of a :class:`ChainRequest`
+    enter their chains, gathering their seeds into the chains' start rows
+    a block of whole runs at a time, and their rows of the threshold table
+    ``gamma`` of shape ``(runs, J)``, -inf for a closed bin, with one write
+    of each other array. A round of every run's chains is one proposal
+    expression, one ``classify``, one table lookup, one write and one
+    accept; the moves in open bins are kept in the proposals' own array
+    and the states written on a block of rows at a time, with no copy of
+    every point. A chain with steps left is in ``live`` or in the queue,
+    waiting on g; a run's level ends when none of its chains is left, and
+    the runs whose levels ended at one step are handed the whole slab, run
+    k's population at index k.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -161,14 +184,16 @@ class _Lockstep:
         self.partition, self.corr = stepper.partition, stepper.mcmc.corr
         self.n_bins, self.scale = self.partition.n_bins, math.sqrt(1.0 - self.corr**2)
         rows, dim = self.runs * self.n, stepper.ls.dimension
-        self.out_p, self.eps = np.empty((2, rows, dim))
-        # a row as one item: fast moves
-        self.out_v, self.eps_v = (a.view(f"V{8 * dim}")[:, 0] for a in (self.out_p, self.eps))
+        self.out_p = np.empty((rows, dim))
+        self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
         self.out_g = np.empty(rows)
         # per chain: the slot of its next output and of its last output
         self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
         self.gamma = np.empty((self.runs, self.n_bins))
-        self.cursor = np.zeros(self.runs, np.int64)  # per run: the row of its next normal
+        if self.n * dim <= _LEVEL_DRAW:  # each run's level's normals, and its next one's row
+            self.eps, self.cursor = np.empty((rows, dim)), np.zeros(self.runs, np.int64)
+        else:  # each round draws its own
+            self.eps = self.cursor = None
         shape = (self.runs, self.n)  # what a handoff hands over
         self.slab = (self.out_p.reshape(*shape, dim), self.out_g.reshape(shape),
                      self.out_b.reshape(shape))
@@ -191,36 +216,37 @@ class _Lockstep:
 
     def enter(self, ks: np.ndarray, want: ChainRequest) -> None:
         """Take the chains of runs ``ks`` into their rows, one write of each slab
-        array for all, and draw each run's normals from its own stream; a run
-        whose chains take no step ends its level with its seeds as its population."""
+        array for all but the points, and on the level-draw schedule draw each
+        run's normals from its own stream; a run whose chains take no step ends
+        its level with its seeds as its population."""
         m, counts, seeds = want.n_seeds, want.counts, want.seeds
-        firsts = m.cumsum() - m  # each run's first seed
-        # a seed's chain writes after the chains of its run's earlier seeds. The
-        # seeds may be rows of the slab that the runs were handed, so all are
-        # gathered before any is written: a run's points go through its rows of
-        # eps, which are free until its normals are drawn, block of runs in
-        # adjacent rows by block, so that no population-sized copy is made
+        ends = m.cumsum()
+        firsts = ends - m  # each run's first seed
         base = ks * self.n
+        # a seed's chain writes after the chains of its run's earlier seeds. A
+        # run's seeds may be rows of its own population in the slab, so all of a
+        # run's seeds are gathered before any is written: whole runs a block, at
+        # most BLOCK seeds or one run, so that no population-sized copy is made
         starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
         points = np.ascontiguousarray(want.points, dtype=float).view(self.out_v.dtype)[:, 0]
-        cut = ((np.diff(ks) != 1).nonzero()[0] + 1).tolist()
-        lo, hi = [0, *cut], [i - 1 for i in cut] + [ks.size - 1]  # blocks of adjacent runs
-        spans = [(s, e, self.eps_v[b : b + e - s]) for s, e, b in zip(
-            firsts.take(lo).tolist(), (firsts + m).take(hi).tolist(), base.take(lo).tolist())]
-        for s, e, out in spans:
-            points.take(seeds[s:e], out=out, mode="clip")  # "raise" would buffer out
-        for s, e, out in spans:
-            self.out_v[starts[s:e]] = out
+        lo = 0
+        while lo < ks.size:
+            hi = max(int(ends.searchsorted(firsts[lo] + BLOCK, "right")), lo + 1)
+            block = slice(firsts[lo], ends[hi - 1])
+            self.out_v[starts[block]] = points.take(seeds[block])
+            lo = hi
         self.out_g[starts], self.out_b[starts] = want.gvals.take(seeds), want.bins.take(seeds)
         chain = np.arange(counts.size) + (base - firsts).repeat(m)
         self.next[chain], self.last[chain] = starts + 1, starts + counts - 1
-        self.cursor[ks], self.gamma[ks] = base, want.gamma
+        self.gamma[ks] = want.gamma
         self.live = np.concatenate((self.live, chain.compress(counts > 1)))
         self.live.sort(kind="stable")  # a merge of sorted runs of rows
         steps = self.n - m
-        for k, b, s in zip(ks.tolist(), base.tolist(), steps.tolist()):
-            if s:
-                self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
+        if self.eps is not None:
+            self.cursor[ks] = base
+            for k, b, s in zip(ks.tolist(), base.tolist(), steps.tolist()):
+                if s:
+                    self.stepper.streams[k].standard_normal(out=self.eps[b : b + s])
         self.ended += ks[steps == 0].tolist()
 
     def handoff(self) -> tuple[list[int], tuple]:
@@ -240,14 +266,13 @@ class _Lockstep:
             first = rows.searchsorted(self.bounds)  # each run's first row in rows
             cnt = first[1:] - first[:-1]
             at = self.next[rows]
-            draw = (self.cursor - first[:-1]).repeat(cnt) + np.arange(rows.size)
-            self.cursor += cnt
-            prop = (self.corr * self.out_p.take(at - 1, axis=0)
-                    + self.scale * self.eps.take(draw, axis=0))
+            stepped = cnt.nonzero()[0]
+            prop = self.out_p.take(at - 1, axis=0)
+            prop *= self.corr
+            prop += self._steps(first, cnt, stepped)
             pbins = self.partition.classify(prop)
             gamma = self.gamma.take(rows // self.n * self.n_bins + pbins)
             ok = (gamma > -np.inf).nonzero()[0]
-            stepped = cnt.nonzero()[0]
             n_ok = ok.searchsorted(first)
             n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
@@ -261,6 +286,21 @@ class _Lockstep:
                 stepped, n_points = stepped[~idle], n_points[~idle]
             if stepped.size:
                 self.queue.append((_compact(prop, ok), stepped, n_points, (rows, at, *candidates)))
+
+    def _steps(self, first: np.ndarray, cnt: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+        """A round's normals times ``sqrt(1 - corr**2)``: the next ``cnt[k]`` of each
+        run k, the runs ``stepped`` in order, from the slab or drawn here."""
+        if self.eps is None:
+            eps = np.empty((first[-1], self.out_p.shape[1]))
+            for k, a, b in zip(stepped.tolist(), first.take(stepped).tolist(),
+                               first.take(stepped + 1).tolist()):
+                self.stepper.streams[k].standard_normal(out=eps[a:b])
+        else:
+            eps = self.eps.take((self.cursor - first[:-1]).repeat(cnt) + np.arange(first[-1]),
+                                axis=0)
+            self.cursor += cnt
+        eps *= self.scale
+        return eps
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
         """:func:`evaluate_joined` of the queued points."""
@@ -307,7 +347,7 @@ class _Lockstep:
 
     def drop(self, k: int) -> None:
         """Forget run k's chains."""
-        self.live = self.live[self.live // self.n != k]
+        self.live = self.live.compress(self.live // self.n != k)
 
 
 def _compact(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:

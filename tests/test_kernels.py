@@ -395,17 +395,21 @@ def test_joined_call_charges_each_run_its_own_points():
 
 
 def test_one_draw_of_a_level_equals_its_round_draws():
-    # the chains draw a level's normals in one call; bit for bit, that is
-    # the concatenation of the per-round draws of the same sizes
+    # small runs draw a level's normals in one call, large runs a round's at a
+    # time; bit for bit, the one draw is the concatenation of the per-round
+    # draws of the same sizes, and the stream goes on from the same place
     rng = np.random.default_rng(3)
     for pattern in range(200):
         dim = int(rng.integers(1, 5))
         rounds = rng.integers(0, 60, size=int(rng.integers(1, 12)))
         joined = np.empty((int(rounds.sum()), dim))
-        RandomStream(pattern, 7).standard_normal(out=joined)
+        whole = RandomStream(pattern, 7)
+        whole.standard_normal(out=joined)
         stream = RandomStream(pattern, 7)
         parts = [stream.standard_normal((int(r), dim)) for r in rounds]
         assert np.concatenate(parts).tobytes() == joined.tobytes()
+        pvals = np.full(5, 0.2)
+        assert (stream.multinomial(7, pvals).tolist() == whole.multinomial(7, pvals).tolist())
 
 
 def test_mcmc_config_validation():

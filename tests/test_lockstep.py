@@ -422,11 +422,21 @@ _PINNED = [
 ]
 
 
+
+def on_both_schedules(cases, ids) -> list:
+    """Each case with the ``_LEVEL_DRAW`` that puts every group on each schedule of
+    its normals: a level's in one draw (the case's own id), or a round's at a time
+    (the id with ``-rounds``)."""
+    return [pytest.param(*case, draw, id=name + suffix) for case, name in zip(cases, ids)
+            for suffix, draw in (("", math.inf), ("-rounds", 0))]
+
+
 @pytest.mark.filterwarnings("ignore:bin with probability")
-@pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest", _PINNED,
-                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
-                              "dss-twins"])
-def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, sizes_digest):
+@pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest, level_draw", on_both_schedules(
+    _PINNED, ["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6", "dss-twins"]))
+def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, sizes_digest,
+                                         level_draw):
+    monkeypatch.setattr(kernels, "_LEVEL_DRAW", level_draw)
     calls = _Calls()
     monkeypatch.setattr("dirss.harness.get_problem", lambda name: calls.wrap(
         limitstate.get_problem(name)))
@@ -515,11 +525,13 @@ def test_a_run_lets_go_of_its_seeds_once_the_slab_has_taken_them(monkeypatch):
 def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     # five runs of n=20000 in 10-D over 1024 orthants, one group: every level,
     # level 0 included, is handed over as one set of views of the whole slab,
-    # run k's population at index k, and the slab gathers the seeds through its
-    # own rows, and the orthants are classified, the moves in open bins kept and
-    # the states written on without a copy of every point, so the group peaks
-    # within README's n*(2*dim+13)*8 bytes a run (26.4 MB); with level 0's
-    # orthants classified through an integer copy of it, five runs took 28.35 MB,
+    # run k's population at index k; the rounds draw their own normals, so the
+    # slab holds none, the seeds are gathered a block of runs at a time, and the
+    # orthants are classified, the moves in open bins kept and the states written
+    # on without a copy of every point, so the group peaks within README's
+    # n*(dim+13)*8 bytes a run (18.4 MB); with each run's normals drawn a level at
+    # a time into the slab, five runs took up to n*(2*dim+13)*8 (26.2 MB of 26.4),
+    # with level 0's orthants classified through an integer copy of it 28.35 MB,
     # and with the states, or the moves and the states, copied whole 26.85 and
     # 27.36 MB
     slabs, reads = [], []
@@ -551,7 +563,7 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert group_size(cfg, 10) == cfg.runs
-    assert peak <= cfg.runs * cfg.n * (2 * 10 + 13) * 8
+    assert peak <= cfg.runs * cfg.n * (10 + 13) * 8
     assert reads[0] == (5, True)  # level 0 of the five runs
     assert all(shared for _, shared in reads)
     assert sum(size for size, _ in reads) == sum(r.levels for r in results)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from test_lockstep import _PINNED, CASE1, SLIVER, _fields
+from test_lockstep import _PINNED, CASE1, SLIVER, _fields, on_both_schedules
 
 from dirss import (
     BinOutcome,
@@ -35,6 +35,7 @@ from dirss import (
     RunResult,
     evaluate_batch,
     get_problem,
+    kernels,
     limitstate,
     make_linear,
     make_piecewise_linear,
@@ -249,8 +250,9 @@ def test_replicate_equals_the_reference(cfg):
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
-@pytest.mark.parametrize("cfg", [c for c, *_ in _PINNED],
-                         ids=["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
-                              "dss-twins"])
-def test_pinned_configs_equal_the_reference(cfg):
+@pytest.mark.parametrize("cfg, level_draw", on_both_schedules(
+    [c[:1] for c in _PINNED], ["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
+                               "dss-twins"]))
+def test_pinned_configs_equal_the_reference(monkeypatch, cfg, level_draw):
+    monkeypatch.setattr(kernels, "_LEVEL_DRAW", level_draw)
     _assert_matches_reference(cfg)
