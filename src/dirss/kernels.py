@@ -226,7 +226,7 @@ class _Lockstep:
         # a seed's chain writes after the chains of its run's earlier seeds. A
         # run's seeds may be rows of its own population in the slab, so all of a
         # run's seeds are gathered before any is written: whole runs a block, at
-        # most BLOCK seeds or one run, so that no population-sized copy is made
+        # most BLOCK seeds or one run, so that no copy of the group's seeds is made
         starts = counts.cumsum() - counts + (base - self.n * np.arange(ks.size)).repeat(m)
         points = np.ascontiguousarray(want.points, dtype=float).view(self.out_v.dtype)[:, 0]
         lo = 0

@@ -409,7 +409,7 @@ def test_one_draw_of_a_level_equals_its_round_draws():
         parts = [stream.standard_normal((int(r), dim)) for r in rounds]
         assert np.concatenate(parts).tobytes() == joined.tobytes()
         pvals = np.full(5, 0.2)
-        assert (stream.multinomial(7, pvals).tolist() == whole.multinomial(7, pvals).tolist())
+        assert stream.multinomial(7, pvals).tolist() == whole.multinomial(7, pvals).tolist()
 
 
 def test_mcmc_config_validation():

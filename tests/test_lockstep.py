@@ -420,20 +420,20 @@ _PINNED = [
      "a7b5a473926b76ce037627b871c62b05a16c3ebd63b5ee5e4a1869a0666b3325",
      46, "9f4df1095a6d6eab"),
 ]
+_PINNED_IDS = ["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6", "dss-twins"]
 
 
-
-def on_both_schedules(cases, ids) -> list:
-    """Each case with the ``_LEVEL_DRAW`` that puts every group on each schedule of
-    its normals: a level's in one draw (the case's own id), or a round's at a time
-    (the id with ``-rounds``)."""
-    return [pytest.param(*case, draw, id=name + suffix) for case, name in zip(cases, ids)
+def on_both_schedules(cases) -> list:
+    """Each of the ``_PINNED`` cases given with the ``_LEVEL_DRAW`` that puts every
+    group on each schedule of its normals: a level's in one draw (the case's own
+    id), or a round's at a time (the id with ``-rounds``)."""
+    return [pytest.param(*case, draw, id=name + suffix) for case, name in zip(cases, _PINNED_IDS)
             for suffix, draw in (("", math.inf), ("-rounds", 0))]
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
-@pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest, level_draw", on_both_schedules(
-    _PINNED, ["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6", "dss-twins"]))
+@pytest.mark.parametrize("cfg, digest, n_calls, sizes_digest, level_draw",
+                         on_both_schedules(_PINNED))
 def test_results_keep_their_pinned_bytes(monkeypatch, cfg, digest, n_calls, sizes_digest,
                                          level_draw):
     monkeypatch.setattr(kernels, "_LEVEL_DRAW", level_draw)

@@ -250,9 +250,7 @@ def test_replicate_equals_the_reference(cfg):
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
-@pytest.mark.parametrize("cfg, level_draw", on_both_schedules(
-    [c[:1] for c in _PINNED], ["mcs", "ss", "dss-case1", "dss-sliver", "dss-orthants6",
-                               "dss-twins"]))
+@pytest.mark.parametrize("cfg, level_draw", on_both_schedules([c[:1] for c in _PINNED]))
 def test_pinned_configs_equal_the_reference(monkeypatch, cfg, level_draw):
     monkeypatch.setattr(kernels, "_LEVEL_DRAW", level_draw)
     _assert_matches_reference(cfg)
