@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -253,6 +254,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # once a process: a build repeats gettext's catalog lookups
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirss",

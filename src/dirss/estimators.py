@@ -288,9 +288,9 @@ class DssGroup:
             return [(ks, None)]
         pts, slab_g, slab_b = slab
         rho, ss, rows = self.rho, self.algorithm == "ss", np.array(ks)
-        # the runs' g-values and keys, n numbers each; points are read in the slab
-        gv, key = slab_g.take(rows, axis=0), slab_b.take(rows, axis=0)
-        key += self.bin_offsets[: rows.size]
+        # the runs' g-values and int64 keys, n numbers each; points are read in the slab
+        gv = slab_g.take(rows, axis=0)
+        key = slab_b.take(rows, axis=0) + self.bin_offsets[: rows.size]
         shift = (rows - np.arange(rows.size)) * self.n  # from a run's row here to the slab's
         counts = np.bincount(key.ravel(), minlength=rows.size * self.p0.size)
         counts_per_bin = counts.reshape(rows.size, -1)

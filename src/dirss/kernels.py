@@ -116,7 +116,8 @@ class _Chains:
     def send(self, ks: list[int], slab) -> list[tuple]:
         if slab is None:  # the start
             return [([0], self.request)]
-        self.results[0] = tuple(a[0] for a in slab)
+        points, gvals, bins = (a[0] for a in slab)
+        self.results[0] = points, gvals, bins.astype(np.int64)
         return []
 
 
@@ -148,27 +149,28 @@ class ChainRequest:
 class _Lockstep:
     """A group of runs in lockstep: what they wait on this step, their chains in one slab.
 
-    The group's fixed state is read off its stepper (see :func:`run_steps`).
-    Run k owns rows ``[k*n, (k+1)*n)`` of each slab array: its level 0,
-    drawn and classified there, then the populations its chains write, each
-    chain's state being its last output. A run's rounds take its normals
-    from its own stream in draw order, round by round and chain by chain,
-    so each run draws exactly what it draws alone: where a run draws at
-    most ``_LEVEL_DRAW`` normals a level (n * dim), it draws its level's in
-    one call into its rows of ``eps``, which its rounds take after its
-    cursor; else the group keeps no ``eps``, and each round draws each
-    run's next normals into one array. The runs of a :class:`ChainRequest`
-    enter their chains, gathering their seeds into the chains' start rows
-    a block of whole runs at a time, and their rows of the threshold table
-    ``gamma`` of shape ``(runs, J)``, -inf for a closed bin, with one write
-    of each other array. A round of every run's chains is one proposal
-    expression, one ``classify``, one table lookup, one write and one
-    accept; the moves in open bins are kept in the proposals' own array
-    and the states written on a block of rows at a time, with no copy of
-    every point. A chain with steps left is in ``live`` or in the queue,
-    waiting on g; a run's level ends when none of its chains is left, and
-    the runs whose levels ended at one step are handed the whole slab, run
-    k's population at index k.
+    The group's fixed state is read off its stepper (see :func:`run_steps`). Run
+    k owns rows ``[k*n, (k+1)*n)`` of each slab array: its level 0, drawn and
+    classified there, then the populations its chains write, each chain's state
+    being its last output; a row is 8*dim + 13 bytes, a point, its g-value, its
+    int32 bin and the ``chain_end`` flag of a chain's last slot. A run's rounds
+    take its normals from its own stream in draw order, round by round and chain
+    by chain, so each run draws exactly what it draws alone: where a run draws
+    at most ``_LEVEL_DRAW`` normals a level (n * dim), it draws its level's in
+    one call into its rows of ``eps``, which its rounds take after its cursor;
+    else the group keeps no ``eps``, and each round draws each run's next
+    normals into one array. The runs of a :class:`ChainRequest` enter their
+    chains, gathering their seeds into the chains' start rows a block of whole
+    runs at a time, and their rows of the threshold table ``gamma`` of shape
+    ``(runs, J)``, -inf for a closed bin, with one write of each other array. A
+    round of every run's chains is one proposal expression, one ``classify``,
+    one table lookup, one write and one accept; the moves in open bins are kept
+    in the proposals' own array and the states written on a block of rows at a
+    time, with no copy of every point. A chain with steps left is named by its
+    next slot, in ``live`` or in the queue, waiting on g, and ends at its
+    flagged slot; a run's level ends when none of its chains is left, and the
+    runs whose levels ended at one step are handed the whole slab, run k's
+    population at index k.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -187,8 +189,8 @@ class _Lockstep:
         self.out_p = np.empty((rows, dim))
         self.out_v = self.out_p.view(f"V{8 * dim}")[:, 0]  # a row as one item: fast moves
         self.out_g = np.empty(rows)
-        # per chain: the slot of its next output and of its last output
-        self.out_b, self.next, self.last = np.zeros((3, rows), np.int64)
+        self.out_b = np.zeros(rows, np.int32)  # at most 2**30 bins
+        self.chain_end = np.zeros(rows, bool)  # the last slot of a chain with steps
         self.gamma = np.empty((self.runs, self.n_bins))
         if self.n * dim <= _LEVEL_DRAW:  # each run's level's normals, and its next one's row
             self.eps, self.cursor = np.empty((rows, dim)), np.zeros(self.runs, np.int64)
@@ -200,8 +202,7 @@ class _Lockstep:
         # (points, runs, their point counts, then a chains round, or the rows of
         # level 0), each run at most once a step
         self.queue: list[tuple] = []
-        # the rows of the chains with steps left and no g-value pending, in order;
-        # run k's start at k*n
+        # the sorted next slots of the chains with steps left and no g-value pending
         self.live, self.bounds = np.zeros(0, np.int64), np.arange(self.runs + 1) * self.n
         self.ended: list[int] = []  # the runs whose level ended and that are not handed over
 
@@ -236,11 +237,11 @@ class _Lockstep:
             self.out_v[starts[block]] = points.take(seeds[block])
             lo = hi
         self.out_g[starts], self.out_b[starts] = want.gvals.take(seeds), want.bins.take(seeds)
-        chain = np.arange(counts.size) + (base - firsts).repeat(m)
-        self.next[chain], self.last[chain] = starts + 1, starts + counts - 1
+        self.chain_end.reshape(self.runs, self.n)[ks] = False
+        self.chain_end[starts + counts - 1] = counts > 1
         self.gamma[ks] = want.gamma
-        self.live = np.concatenate((self.live, chain.compress(counts > 1)))
-        self.live.sort(kind="stable")  # a merge of sorted runs of rows
+        self.live = np.concatenate((self.live, (starts + 1).compress(counts > 1)))
+        self.live.sort(kind="stable")  # a merge of sorted runs of slots
         steps = self.n - m
         if self.eps is not None:
             self.cursor[ks] = base
@@ -262,30 +263,29 @@ class _Lockstep:
         proposes again, as alone, and may end its level so.
         """
         while self.live.size:
-            rows = self.live
-            first = rows.searchsorted(self.bounds)  # each run's first row in rows
+            at = self.live
+            first = at.searchsorted(self.bounds)  # each run's first slot in at
             cnt = first[1:] - first[:-1]
-            at = self.next[rows]
             stepped = cnt.nonzero()[0]
             prop = self.out_p.take(at - 1, axis=0)
             prop *= self.corr
             prop += self._steps(first, cnt, stepped)
             pbins = self.partition.classify(prop)
-            gamma = self.gamma.take(rows // self.n * self.n_bins + pbins)
+            gamma = self.gamma.take(at // self.n * self.n_bins + pbins)
             ok = (gamma > -np.inf).nonzero()[0]
             n_ok = ok.searchsorted(first)
             n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
             candidates = (at.take(ok), pbins.take(ok), gamma.take(ok))
-            self.live = rows[:0]
+            self.live = at[:0]
             if np.count_nonzero(idle):
-                idle_rows = idle.repeat(cnt[stepped])  # rows are sorted by run
-                mine, rest = idle_rows.nonzero()[0], (~idle_rows).nonzero()[0]
-                self.live = self._advance(rows.take(mine), at.take(mine), stepped[idle])
-                rows, at = rows.take(rest), at.take(rest)
+                idle_at = idle.repeat(cnt[stepped])  # slots are sorted by run
+                mine, rest = idle_at.nonzero()[0], (~idle_at).nonzero()[0]
+                self.live = self._advance(at.take(mine), stepped[idle])
+                at = at.take(rest)
                 stepped, n_points = stepped[~idle], n_points[~idle]
             if stepped.size:
-                self.queue.append((_compact(prop, ok), stepped, n_points, (rows, at, *candidates)))
+                self.queue.append((_compact(prop, ok), stepped, n_points, (at, *candidates)))
 
     def _steps(self, first: np.ndarray, cnt: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         """A round's normals times ``sqrt(1 - corr**2)``: the next ``cnt[k]`` of each
@@ -320,27 +320,27 @@ class _Lockstep:
                 self.out_g[chains] = g
                 self.ended += runs.tolist()
                 continue
-            rows, at, slots, pbins, gamma = chains
-            live.append(self._advance(rows, at, runs))
+            at, slots, pbins, gamma = chains
+            live.append(self._advance(at, runs))
             hit = (g <= gamma).nonzero()[0]
             acc = slots.take(hit)
             self.out_v[acc] = points.view(self.out_v.dtype)[:, 0].take(hit)
             self.out_g[acc], self.out_b[acc] = g.take(hit), pbins.take(hit)
         self.queue = []
-        if live:  # rounds of different runs: a merge of sorted rows
+        if live:  # rounds of different runs: a merge of sorted slots
             self.live = np.sort(np.concatenate(live), kind="stable") if len(live) > 1 else live[0]
 
-    def _advance(self, rows: np.ndarray, at: np.ndarray, stepped: np.ndarray) -> np.ndarray:
-        """Write each chain's state on (accepted moves overwrite it); return the
-        chains with steps left, and end the level of the runs ``stepped`` none
-        of whose chains is."""
+    def _advance(self, at: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+        """Write the state of the chains at slots ``at`` on (accepted moves
+        overwrite it); return the next slots of the chains with steps left, and
+        end the level of the runs ``stepped`` none of whose chains is."""
         prev = at - 1
         for b in blocks(at.size):  # no copy of every chain's point
             self.out_v[at[b]] = self.out_v[prev[b]]
         for out in (self.out_g, self.out_b):
             out[at] = out[prev]
-        self.next[rows] = at + 1
-        left = rows.compress(at != self.last[rows])
+        left = at.compress(~self.chain_end.take(at))
+        left += 1
         first = left.searchsorted(self.bounds)
         self.ended += stepped[first[stepped + 1] == first[stepped]].tolist()
         return left
@@ -393,9 +393,9 @@ def run_steps(steps) -> list:
     The stepper holds the group: the problem ``ls``, the population size ``n``,
     each run k's ``streams[k]`` and ``results[k]``, the int64 array
     ``n_evals`` of each run's g-evaluations, and their ``partition`` and
-    ``mcmc``. Its ``send(ks, slab)`` takes the runs ``ks``
-    whose level ended at one step, in order, and the slab ``(points, gvals,
-    bins)``, run k's population at index k, as views valid until the runs'
+    ``mcmc``. Its ``send(ks, slab)`` takes the runs ``ks`` whose level ended at
+    one step, in order, and the slab ``(points, gvals, bins)``, int32 bins,
+    run k's population at index k, as views valid until the runs'
     next request: at the start, every run and ``None``. It returns ``(runs,
     request)`` pairs: ``None`` at the start, for each run's level 0 of ``n``
     points, which it draws from its stream into its rows of the slab, or a

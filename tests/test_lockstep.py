@@ -529,8 +529,10 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     # slab holds none, the seeds are gathered a block of runs at a time, and the
     # orthants are classified, the moves in open bins kept and the states written
     # on without a copy of every point, so the group peaks within README's
-    # n*(dim+13)*8 bytes a run (18.4 MB); with each run's normals drawn a level at
-    # a time into the slab, five runs took up to n*(2*dim+13)*8 (26.2 MB of 26.4),
+    # n*(dim+10)*8 bytes a run (16.0 MB; 14.83-15.68 MB at seeds 1-10); with the
+    # slab's chain tables and int64 bins, n*(dim+4)*8 bytes of slab a run, five
+    # runs took up to 18.2 MB, with each run's normals drawn a level at a time
+    # into the slab up to n*(2*dim+13)*8 (26.2 MB of 26.4),
     # with level 0's orthants classified through an integer copy of it 28.35 MB,
     # and with the states, or the moves and the states, copied whole 26.85 and
     # 27.36 MB
@@ -563,11 +565,43 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     finally:
         tracemalloc.stop()
     assert group_size(cfg, 10) == cfg.runs
-    assert peak <= cfg.runs * cfg.n * (10 + 13) * 8
+    assert peak <= cfg.runs * cfg.n * (10 + 10) * 8
     assert reads[0] == (5, True)  # level 0 of the five runs
     assert all(shared for _, shared in reads)
     assert sum(size for size, _ in reads) == sum(r.levels for r in results)
     _assert_matches_solo(cfg, results)
+
+
+@pytest.mark.filterwarnings("ignore:bin with probability")
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig("piecewise_linear", "dss", 150, partition="angular", cuts=CASE1, runs=6,
+                     seed=9),
+    ExperimentConfig("linear_d10", "dss", 2000, partition="orthants", runs=3, seed=2),
+], ids=["level-draw", "round-draw"])
+def test_a_groups_slab_is_at_most_dim_plus_2_words_a_row(monkeypatch, cfg):
+    # a row of the slab is a point, its g-value, its int32 bin and the flag of a
+    # chain's last slot, 8*dim + 13 bytes; a live chain is named by its next
+    # slot, so the group keeps no table from chains to slots, which with int64
+    # bins made a row dim+4 words. A run's level of normals (eps, on the
+    # level-draw schedule) is not counted
+    slabs = []
+    draw = kernels._Lockstep.draw
+
+    def logged_draw(self):
+        slabs.append(self)
+        return draw(self)
+
+    monkeypatch.setattr(kernels._Lockstep, "draw", logged_draw)
+    replicate(cfg)
+    (step,) = slabs
+    rows, dim = cfg.runs * cfg.n, step.out_p.shape[1]
+    slab = (step.out_p, step.out_g, step.out_b, step.chain_end)
+    assert sum(a.nbytes for a in slab) <= rows * (dim + 2) * 8
+    # nor does the group keep any other array of a number a row
+    per_row = {name for name, a in vars(step).items()
+               if isinstance(a, np.ndarray) and a.size >= rows}
+    assert per_row <= {"out_p", "out_v", "out_g", "out_b", "chain_end", "eps"}
+    assert ("eps" in per_row) == (cfg.n * dim <= kernels._LEVEL_DRAW)
 
 
 class _Requests:
@@ -583,8 +617,9 @@ class _Requests:
         if slab is None:
             runs = iter(range(len(self.results)))
             return [([next(runs) for _ in r.n_seeds], r) for r in self.requests]
-        for k in ks:
-            self.results[k] = tuple(a[k].copy() for a in slab)
+        points, gvals, bins = slab
+        for k in ks:  # bins widened to int64, as propagate_chains gives them
+            self.results[k] = points[k].copy(), gvals[k].copy(), bins[k].astype(np.int64)
         return []
 
 
