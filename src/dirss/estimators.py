@@ -27,6 +27,7 @@ with a single bin.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,17 @@ class BinOutcome:
 class LevelRecord:
     """Per-level diagnostics: thresholds after the update at this level,
     particle counts per bin, seeds available for the next level, the
-    frozen estimate so far and the residual upper bound."""
+    frozen estimate so far and the residual upper bound.
+
+    ``gamma`` is an ``array('d')`` and ``counts`` an ``array('q')``, one
+    entry a bin: 8 bytes a number, held inline, which ``np.frombuffer``
+    reads without a copy. Records compare equal field by field, but an
+    array is unhashable, so a record is too.
+    """
 
     level: int
-    gamma: tuple[float, ...]
-    counts: tuple[int, ...]
+    gamma: array
+    counts: array
     n_seeds: int
     pf_finished: float
     upper_bound: float
@@ -146,9 +153,9 @@ def mcs_group(ls: LimitState, n: int, streams: list[RandomStream]) -> list:
         fail = np.vstack(fail_pts[k])
         fail_pts[k] = None  # the result holds the one copy
         pf = len(fail) / n
+        record = LevelRecord(0, array("d", [0.0]), array("q", [n]), len(fail), pf, 0.0)
         results[k] = RunResult("mcs", pf, (BinOutcome(0, "finished", 0, pf, pf, 0.0),), 1,
-                               int(n_evals[k]), 0.0, "converged",
-                               (LevelRecord(0, (0.0,), (n,), len(fail), pf, 0.0),), fail)
+                               int(n_evals[k]), 0.0, "converged", (record,), fail)
     return results
 
 
@@ -325,9 +332,8 @@ class DssGroup:
         n_seeds = seed.sum(axis=1)
         d = self.d[rows]
         u = self.open_mass[rows] * powers[t + 1] + self.starved_mass[rows]
-        for k, *record in zip(ks, t.tolist(), map(tuple, gamma.tolist()),
-                              map(tuple, counts_per_bin.tolist()), n_seeds.tolist(),
-                              d.tolist(), u.tolist()):
+        for k, *record in zip(ks, t.tolist(), _rows(gamma, "d"), _rows(counts_per_bin, "q"),
+                              n_seeds.tolist(), d.tolist(), u.tolist()):
             self.records[k].append(LevelRecord(*record))
         # SS converges once its quantile reaches 0
         bound_met = q <= 0.0 if ss else (d > 0.0) & (u <= self.eps_tol * d)
@@ -413,3 +419,11 @@ class DssGroup:
             reason=_EXTINCT if status == "failed" else "",
         )
         self.fail_pts[k] = None  # the result holds the one copy
+
+
+def _rows(table: np.ndarray, typecode: str) -> list[array]:
+    """The rows of a 2-D table as arrays of ``typecode``, each allocated at its
+    exact size: the table's bytes in one flat array, then a slice a row, with no
+    Python number made."""
+    flat, width = array(typecode, table.astype(typecode, copy=False).tobytes()), table.shape[1]
+    return [flat[i : i + width] for i in range(0, len(flat), width)]

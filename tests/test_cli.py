@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -55,6 +56,20 @@ def test_run_writes_levels_csv(tmp_path):
     assert rows
     for row in rows:
         assert int(row["count_1"]) + int(row["count_2"]) == 500
+
+
+# recorded when a level record kept its thresholds and counts as tuples of
+# Python numbers: the file's bytes do not depend on how a record holds them
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "ddc0e12829761d17ec1f91dff203b34322ea21dc6ebd91967ace962d381f192b"),
+    ({"algorithm": "ss", "partition": "single", "cuts": None},
+     "c7cfcae0715e38fd24f51d35b1e6eac2d87e17d1824e0540d0b044e9fe2ad132"),
+], ids=["dss-case1", "ss"])
+def test_run_levels_csv_keeps_its_bytes(tmp_path, overrides, digest):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert hashlib.sha256((out_dir / "levels.csv").read_bytes()).hexdigest() == digest
 
 
 def test_run_unknown_problem_exits_2(tmp_path, capsys):

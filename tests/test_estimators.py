@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
+from array import array
 from functools import partial
 
 import numpy as np
@@ -282,12 +284,12 @@ def test_ss_forces_its_last_threshold_to_zero_at_the_level_cap():
     assert res.level_records[0].gamma[0] > 0.0
     assert res.pf_hat == 0.2 * 0.09
     assert res.bin_outcomes[0] == BinOutcome(0, "finished", 1, 0.09, 0.2 * 0.09, 0.0)
-    assert (res.level_records[-1].gamma, res.level_records[-1].n_seeds) == ((0.0,), 18)
+    assert (tuple(res.level_records[-1].gamma), res.level_records[-1].n_seeds) == ((0.0,), 18)
     assert len(res.failure_points) == 18 and (ls.evaluator(res.failure_points) <= 0).all()
 
     res = run_ss(ls, 200, max_levels=1, stream=RandomStream(21))
     assert (res.status, res.levels, res.pf_hat) == ("max_levels", 1, 0.03)
-    assert (res.level_records[-1].gamma, res.level_records[-1].n_seeds) == ((0.0,), 6)
+    assert (tuple(res.level_records[-1].gamma), res.level_records[-1].n_seeds) == ((0.0,), 6)
 
 
 def test_a_stalled_ss_run_returns_at_its_level_cap():
@@ -352,8 +354,8 @@ def test_dss_pinned_run_on_case1_cuts():
     counts = [(209, 191), (193, 207), (195, 205), (191, 209), (203, 197),
               (204, 196), (0, 400), (0, 400), (0, 400), (0, 400)]
     seeds = [81, 81, 80, 86, 83, 40, 120, 99, 81, 0]
-    assert [r.gamma for r in res.level_records] == gammas
-    assert [r.counts for r in res.level_records] == counts
+    assert [tuple(r.gamma) for r in res.level_records] == gammas
+    assert [tuple(r.counts) for r in res.level_records] == counts
     assert [r.n_seeds for r in res.level_records] == seeds
     assert [r.pf_finished for r in res.level_records] == [0.0] * 5 + [
         3.843137254901962e-05
@@ -372,9 +374,25 @@ def test_dss_pinned_run_on_orthants():
     assert res.levels == 7
     assert res.status == "converged"
     assert sum(o.status == "finished" for o in res.bin_outcomes) == 32
-    # 7 levels x 64 thresholds and counts, compared through their repr
+    # 7 levels x 64 thresholds and counts, compared through their repr (re-recorded
+    # for typed arrays after the records, as tuples, read the old digest)
     digest = hashlib.sha256(repr(res.level_records).encode()).hexdigest()
-    assert digest == "818fea2156e3539759a19706654b413d6bfbe9ee09be888b03019757f5e79eeb"
+    assert digest == "2a8a96f7e30dc440eaaba394fdc9e068bb20486e6191441d444e510a2b8e1f47"
+
+
+def test_a_level_record_holds_16_bytes_a_bin():
+    # a record's thresholds and counts are two arrays of 8-byte numbers held
+    # inline, so sys.getsizeof is all they take; as tuples they also held a
+    # Python float a threshold, about 40 bytes a bin in all
+    n_bins = 1024
+    res = run_dss(make_linear(3.5, 10), make_orthants(10), 4000, max_levels=3,
+                  stream=RandomStream(1))
+    assert len(res.level_records) > 1
+    two_empty = 2 * sys.getsizeof(array("d"))
+    for rec in res.level_records:
+        assert memoryview(rec.gamma).nbytes == memoryview(rec.counts).nbytes == 8 * n_bins
+        assert sys.getsizeof(rec.gamma) + sys.getsizeof(rec.counts) <= two_empty + 16 * n_bins
+        assert np.frombuffer(rec.counts, np.int64).sum() == 4000
 
 
 # dSS reads about 0.8 of the exact value at 40 points a bin, with no warning;

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import partial
 
 import numpy as np
@@ -76,7 +77,8 @@ def _monte_carlo(ls, n, stream, spent) -> RunResult:
         done += len(pts)
     pf = len(fail) / n
     return RunResult("mcs", pf, (BinOutcome(0, "finished", 0, pf, pf, 0.0),), 1, spent[0],
-                     0.0, "converged", (LevelRecord(0, (0.0,), (n,), len(fail), pf, 0.0),),
+                     0.0, "converged",
+                     (LevelRecord(0, array("d", [0.0]), array("q", [n]), len(fail), pf, 0.0),),
                      np.array(fail).reshape(-1, ls.dimension))
 
 
@@ -117,7 +119,7 @@ def _subset(cfg, ls, part, stream, spent) -> RunResult:
         table = [g if ss or a else -math.inf for g, a in zip(gamma, active)]
         seeds = [i for i in range(n) if gv[i] <= table[bins[i]]]
         u = float(p0[np.array(active, dtype=bool)].sum() * rho ** (t + 1) + starved_mass)
-        records.append(LevelRecord(t, tuple(gamma), tuple(counts), len(seeds), d, u))
+        records.append(LevelRecord(t, array("d", gamma), array("q", counts), len(seeds), d, u))
         bound_met = q[0] <= 0.0 if ss else d > 0.0 and u <= cfg.eps_tol * d
         if bound_met or not any(active) or t == cfg.max_levels or not seeds:
             status = ("converged" if bound_met else
