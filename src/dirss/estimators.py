@@ -232,8 +232,9 @@ class DssGroup:
     into its rows of the chain slab and classifies there, its later
     levels are populations its chains write there: it reads every level
     in place. The runs whose level ends at one step are handed the whole
-    slab, run k's population at index k, copy only their g-values and
-    bins, and share one level update: one bin count and one
+    slab, run k's population at index k, read their g-values and bins
+    there (or copy only those, when their rows are not adjacent), and
+    share one level update: one bin count and one
     :func:`interp_quantile` over the key ``run * J + bin`` (a bin's
     quantile depends on its own values only, so each run gets its own bit
     for bit), one mask each to finish, starve and seed bins, and one write
@@ -295,9 +296,13 @@ class DssGroup:
             return [(ks, None)]
         pts, slab_g, slab_b = slab
         rho, ss, rows = self.rho, self.algorithm == "ss", np.array(ks)
-        # the runs' g-values and int64 keys, n numbers each; points are read in the slab
-        gv = slab_g.take(rows, axis=0)
-        key = slab_b.take(rows, axis=0) + self.bin_offsets[: rows.size]
+        # the runs' g-values and bins, read in the slab where their rows are adjacent
+        # (at level 0 and most steps), and int64 keys, n numbers each
+        if ks[-1] - ks[0] == len(ks) - 1:
+            gv, bins = slab_g[ks[0] : ks[-1] + 1], slab_b[ks[0] : ks[-1] + 1]
+        else:
+            gv, bins = slab_g.take(rows, axis=0), slab_b.take(rows, axis=0)
+        key = bins + self.bin_offsets[: rows.size]
         shift = (rows - np.arange(rows.size)) * self.n  # from a run's row here to the slab's
         counts = np.bincount(key.ravel(), minlength=rows.size * self.p0.size)
         counts_per_bin = counts.reshape(rows.size, -1)

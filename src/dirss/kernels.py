@@ -163,14 +163,15 @@ class _Lockstep:
     chains, gathering their seeds into the chains' start rows a block of whole
     runs at a time, and their rows of the threshold table ``gamma`` of shape
     ``(runs, J)``, -inf for a closed bin, with one write of each other array. A
-    round of every run's chains is one proposal expression, one ``classify``,
-    one table lookup, one write and one accept; the moves in open bins are kept
-    in the proposals' own array and the states written on a block of rows at a
-    time, with no copy of every point. A chain with steps left is named by its
-    next slot, in ``live`` or in the queue, waiting on g, and ends at its
-    flagged slot; a run's level ends when none of its chains is left, and the
-    runs whose levels ended at one step are handed the whole slab, run k's
-    population at index k.
+    round of every run's chains is one array of proposals, one ``classify``,
+    one table lookup, one write and one accept: normals that a round draws
+    become its proposals as ``corr * state`` is added to them a block of rows
+    at a time, the moves in open bins are kept in that array and the states
+    written on a block of rows at a time, with no copy of every point. A chain
+    with steps left is named by its next slot, in ``live`` or in the queue,
+    waiting on g, and ends at its flagged slot; a run's level ends when none
+    of its chains is left, and the runs whose levels ended at one step are
+    handed the whole slab, run k's population at index k.
 
     Rows are selected by index, never by boolean indexing: a mask is
     turned into indices once, with ``nonzero()``, and each array is read
@@ -267,9 +268,7 @@ class _Lockstep:
             first = at.searchsorted(self.bounds)  # each run's first slot in at
             cnt = first[1:] - first[:-1]
             stepped = cnt.nonzero()[0]
-            prop = self.out_p.take(at - 1, axis=0)
-            prop *= self.corr
-            prop += self._steps(first, cnt, stepped)
+            prop = self._proposals(at, first, cnt, stepped)
             pbins = self.partition.classify(prop)
             gamma = self.gamma.take(at // self.n * self.n_bins + pbins)
             ok = (gamma > -np.inf).nonzero()[0]
@@ -277,6 +276,7 @@ class _Lockstep:
             n_points = (n_ok[1:] - n_ok[:-1])[stepped]
             idle = n_points == 0  # every proposal in a closed bin: no g-call
             candidates = (at.take(ok), pbins.take(ok), gamma.take(ok))
+            del pbins, gamma  # only the moves in open bins are kept
             self.live = at[:0]
             if np.count_nonzero(idle):
                 idle_at = idle.repeat(cnt[stepped])  # slots are sorted by run
@@ -287,20 +287,32 @@ class _Lockstep:
             if stepped.size:
                 self.queue.append((_compact(prop, ok), stepped, n_points, (at, *candidates)))
 
-    def _steps(self, first: np.ndarray, cnt: np.ndarray, stepped: np.ndarray) -> np.ndarray:
-        """A round's normals times ``sqrt(1 - corr**2)``: the next ``cnt[k]`` of each
-        run k, the runs ``stepped`` in order, from the slab or drawn here."""
+    def _proposals(self, at: np.ndarray, first: np.ndarray, cnt: np.ndarray,
+                   stepped: np.ndarray) -> np.ndarray:
+        """A round's proposals ``corr * state + sqrt(1 - corr**2) * eps`` of the chains
+        at slots ``at``, with the next ``cnt[k]`` normals of each run k, the runs
+        ``stepped`` in order. Normals drawn here are scaled in the array that becomes
+        the proposals, and ``corr * state`` is added a block of rows at a time, with
+        no copy of every state (IEEE addition commutes: the same bits); a group that
+        keeps its levels' normals, which outweigh any round, takes them from the slab
+        and adds them to a copy of the states, in fewer calls."""
         if self.eps is None:
-            eps = np.empty((first[-1], self.out_p.shape[1]))
+            prop = np.empty((first[-1], self.out_p.shape[1]))
             for k, a, b in zip(stepped.tolist(), first.take(stepped).tolist(),
                                first.take(stepped + 1).tolist()):
-                self.stepper.streams[k].standard_normal(out=eps[a:b])
-        else:
-            eps = self.eps.take((self.cursor - first[:-1]).repeat(cnt) + np.arange(first[-1]),
-                                axis=0)
-            self.cursor += cnt
+                self.stepper.streams[k].standard_normal(out=prop[a:b])
+            prop *= self.scale
+            for b in blocks(at.size):
+                prop[b] += self.out_p.take(at[b] - 1, axis=0) * self.corr
+            return prop
+        prop = self.out_p.take(at - 1, axis=0)
+        prop *= self.corr
+        eps = self.eps.take((self.cursor - first[:-1]).repeat(cnt) + np.arange(first[-1]),
+                            axis=0)
+        self.cursor += cnt
         eps *= self.scale
-        return eps
+        prop += eps
+        return prop
 
     def evaluate(self) -> tuple[np.ndarray, dict]:
         """:func:`evaluate_joined` of the queued points."""
@@ -427,6 +439,7 @@ def run_steps(steps) -> list:
             return steps.results
         gv, failed = step.evaluate()
         step.accept(gv)
+        gv = None  # the slab holds the g-values: a level end reads no other copy
         for k, exc in failed.items():
             steps.results[k] = exc
             step.drop(k)
@@ -482,10 +495,14 @@ def interp_quantile(values, bins, counts, rho: float) -> np.ndarray:
     """
     k = counts
     # value order, then a stable sort by bin, which is a radix sort for
-    # up to 2**16 bins
+    # up to 2**16 bins, keyed by a uint16 copy of the bins
     order = values.argsort()
-    by_bin = bins[order].astype(np.uint16 if k.size <= 1 << 16 else np.int64)
-    order = order[by_bin.argsort(kind="stable")]
+    idx = (bins.astype(np.uint16) if k.size <= 1 << 16 else bins).take(order).argsort(
+        kind="stable")
+    # the two orders composed in place of the second: take reads idx[i]
+    # before it writes out[i], which numpy does not document (a test pins
+    # it); mode="clip" keeps take from buffering out (idx is in range)
+    order = order.take(idx, out=idx, mode="clip")
     # with h = (k - 1) * rho + 1 and i = floor(h),
     # x_(i) of bin j is the value at position end_j - k_j + i - 1 of order
     h = (k - 1) * rho + 1.0

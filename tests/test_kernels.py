@@ -104,6 +104,24 @@ def test_binned_quantiles_equal_per_bin_interp_quantile(rho):
     assert sizes == {0, 1, 2}  # empty, single-member and larger bins all occurred
 
 
+@pytest.mark.parametrize("n_bins", [40, 70_010])
+def test_binned_quantiles_on_many_points_with_ties(n_bins):
+    # interp_quantile composes its two sorts' orders in place, with a take
+    # that reads each index before it writes over it: on many more points than
+    # a block of 4096, with repeated values, every bin must still get the
+    # quantile of its own sorted values, in the radix range and beyond it
+    rng = np.random.default_rng(10)
+    n = 50_000
+    vals = np.round(rng.normal(size=n), 1)  # about 80 distinct values
+    bins = rng.integers(n_bins - 40, n_bins, size=n)
+    counts = np.bincount(bins, minlength=n_bins)
+    for rho in (0.2, 0.5):
+        q = interp_quantile(vals, bins, counts, rho)
+        for j in range(n_bins - 40, n_bins):
+            assert q[j] == _sorted_quantile(vals[bins == j], rho)
+        assert np.isnan(q[: n_bins - 40]).all()
+
+
 def test_binned_quantiles_beyond_radix_range():
     # more than 2**16 bins takes the general stable sort
     rng = np.random.default_rng(9)

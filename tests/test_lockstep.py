@@ -531,7 +531,9 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     # slab holds none, the seeds are gathered a block of runs at a time, and the
     # orthants are classified, the moves in open bins kept and the states written
     # on without a copy of every point, so the group peaks within README's
-    # n*(dim+10)*8 bytes a run (16.0 MB; 14.83-15.68 MB at seeds 1-10); with the
+    # n*(dim+10)*8 bytes a run (16.0 MB; 13.69-14.47 MB at seeds 1-10, 14.71-15.23
+    # with a round's normals beside its proposals and the level end's g-values
+    # copied out of the slab, 14.83-15.68 with tuple level records); with the
     # slab's chain tables and int64 bins, n*(dim+4)*8 bytes of slab a run, five
     # runs took up to 18.2 MB, with each run's normals drawn a level at a time
     # into the slab up to n*(2*dim+13)*8 (26.2 MB of 26.4),
@@ -572,6 +574,32 @@ def test_five_large_runs_read_their_populations_in_the_slab(monkeypatch):
     assert all(shared for _, shared in reads)
     assert sum(size for size, _ in reads) == sum(r.levels for r in results)
     _assert_matches_solo(cfg, results)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig("piecewise_linear", "dss", 131072, partition="angular", cuts=CASE1,
+                     runs=5, seed=1),
+    ExperimentConfig("beta_points", "ss", 131072, runs=5, seed=1),
+], ids=["dss", "ss"])
+def test_five_2d_runs_peak_within_44_mb(cfg):
+    # in 2-D the level end's arrays of n numbers, not the points, set a group's
+    # peak: the runs' g-values are read in the slab, the second sort of
+    # interp_quantile is keyed by a uint16 copy of the bins and the two orders
+    # are composed in place, so about 8.4 words a row (44 MB) hold the 19.0 MB
+    # slab and the largest of the level end, a round and g's own arrays
+    # (40.65 MB for dSS, in piecewise_linear's g; 36.06 MB for SS, in the level
+    # end). With the g-values copied out, the orders composed into a third
+    # array and the round's normals kept beside its proposals, both took 51.79 MB
+    replicate(dataclasses.replace(cfg, n=100))  # first-use allocations, outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        replicate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert group_size(cfg, 2) == cfg.runs
+    assert peak <= 44e6
 
 
 @pytest.mark.filterwarnings("ignore:bin with probability")
